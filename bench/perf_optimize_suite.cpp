@@ -12,6 +12,7 @@
 // Usage:
 //   perf_optimize_suite [--quick] [--reps=N] [--out=PATH]
 //                       [--reference] [--no-reference] [--min-speedup=X]
+//                       [--delay-budget=F]
 //                       [--baseline=PATH] [--max-regression=X]
 //
 //   --quick            run the 10-circuit CI subset instead of all 39
@@ -24,12 +25,16 @@
 //                      same-run speedup drops below X. Hardware cancels
 //                      out of this ratio, so it catches real regressions
 //                      the absolute baseline comparison cannot attribute.
+//   --delay-budget=F   run every optimize() (both engines and the batch
+//                      block) under max_circuit_delay_increase = F,
+//                      recorded as "delay_budget" in the JSON
 //   --baseline=PATH    compare total_ms against a previous JSON; exit 1
 //                      when current > max-regression x baseline
 //   --max-regression=X allowed slowdown factor (default 2.0)
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -65,9 +70,9 @@ const std::vector<std::string>& quick_subset() {
 
 double time_optimize(const netlist::Netlist& original,
                      const std::map<netlist::NetId, boolfn::SignalStats>& stats,
-                     const celllib::Tech& tech, int reps, opt::Engine engine,
+                     const celllib::Tech& tech, int reps,
+                     opt::OptimizeOptions options, opt::Engine engine,
                      int* gates_changed) {
-  opt::OptimizeOptions options;
   options.engine = engine;
   double best_ms = 0.0;
   for (int r = 0; r < reps; ++r) {
@@ -102,6 +107,7 @@ int main(int argc, char** argv) {
   double max_regression = 2.0;
   double min_speedup = -1.0;
   int reference = -1;  // -1 = default (follows --quick)
+  opt::OptimizeOptions options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--quick") {
@@ -112,6 +118,13 @@ int main(int argc, char** argv) {
       reference = 0;
     } else if (arg.rfind("--min-speedup=", 0) == 0) {
       min_speedup = std::strtod(arg.c_str() + 14, nullptr);
+    } else if (arg.rfind("--delay-budget=", 0) == 0) {
+      const double budget = std::strtod(arg.c_str() + 15, nullptr);
+      if (!std::isfinite(budget) || budget < 0.0) {
+        std::cerr << "--delay-budget must be finite and >= 0\n";
+        return 2;
+      }
+      options.max_circuit_delay_increase = budget;
     } else if (arg.rfind("--reps=", 0) == 0) {
       reps = std::max(1, std::atoi(arg.c_str() + 7));
     } else if (arg.rfind("--out=", 0) == 0) {
@@ -147,11 +160,11 @@ int main(int argc, char** argv) {
     CircuitResult row;
     row.name = spec.name;
     row.gates = original.gate_count();
-    row.ms = time_optimize(original, stats, tech, reps, opt::Engine::catalog,
-                           &row.gates_changed);
+    row.ms = time_optimize(original, stats, tech, reps, options,
+                           opt::Engine::catalog, &row.gates_changed);
     if (measure_reference) {
       int ignored = 0;
-      row.reference_ms = time_optimize(original, stats, tech, reps,
+      row.reference_ms = time_optimize(original, stats, tech, reps, options,
                                        opt::Engine::reference, &ignored);
       reference_total_ms += row.reference_ms;
     }
@@ -181,13 +194,14 @@ int main(int argc, char** argv) {
         const benchgen::BenchmarkSpec& spec = benchgen::suite_entry(row.name);
         netlist::Netlist nl = benchgen::build_benchmark(batch_lib, spec);
         auto stats = opt::scenario_a(nl, spec.seed);
-        batch.push_back(
-            opt::BatchCircuit{spec.name, std::move(nl), std::move(stats), {}});
+        batch.push_back(opt::BatchCircuit{spec.name, std::move(nl),
+                                          std::move(stats), {}, {}});
       }
-      opt::BatchOptions options;
-      options.jobs = jobs;
+      opt::BatchOptions batch_options;
+      batch_options.opt = options;
+      batch_options.jobs = jobs;
       const opt::BatchReport report =
-          opt::BatchOptimizer(batch_lib, tech, options).run(batch);
+          opt::BatchOptimizer(batch_lib, tech, batch_options).run(batch);
       if (r == 0 || report.elapsed_ms < best_ms) best_ms = report.elapsed_ms;
       if (cache != nullptr) *cache = report.cache;
       if (jobs_used != nullptr) *jobs_used = report.jobs;
@@ -217,8 +231,11 @@ int main(int argc, char** argv) {
 
   std::ostringstream json;
   json << "{\n  \"schema_version\": 1,\n  \"suite\": \""
-       << (quick ? "quick" : "full") << "\",\n  \"reps\": " << reps
-       << ",\n  \"circuits\": [\n";
+       << (quick ? "quick" : "full") << "\",\n  \"reps\": " << reps;
+  if (options.max_circuit_delay_increase) {
+    json << ",\n  \"delay_budget\": " << *options.max_circuit_delay_increase;
+  }
+  json << ",\n  \"circuits\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const CircuitResult& row = results[i];
     json << "    {\"name\": \"" << row.name << "\", \"gates\": " << row.gates
@@ -277,6 +294,15 @@ int main(int argc, char** argv) {
     if (buffer.str().find(expected_suite) == std::string::npos) {
       std::cerr << "baseline " << baseline_path
                 << " was recorded with a different --quick setting than "
+                   "this run; regenerate it with matching flags\n";
+      return 2;
+    }
+    // Likewise a budgeted run is only comparable to a baseline recorded
+    // at the same budget (json_number yields -1 for an unbudgeted one).
+    const double budget = options.max_circuit_delay_increase.value_or(-1.0);
+    if (std::abs(json_number(buffer.str(), "delay_budget") - budget) > 1e-12) {
+      std::cerr << "baseline " << baseline_path
+                << " was recorded with a different --delay-budget than "
                    "this run; regenerate it with matching flags\n";
       return 2;
     }

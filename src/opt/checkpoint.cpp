@@ -16,7 +16,9 @@ namespace {
 
 /// Journal payload schema version (independent of the report schema:
 /// entries are internal to one tr_opt version's checkpoint directory).
-constexpr std::int64_t kEntryVersion = 1;
+/// Version 2: budgeted catalog runs record "engine": "catalog" (version
+/// 1 journals recorded them as "reference").
+constexpr std::int64_t kEntryVersion = 2;
 
 constexpr const char* kManifestName = "manifest.jnl";
 

@@ -117,10 +117,9 @@ std::vector<std::pair<GateTopology, double>> score_configurations(
 
 namespace {
 
-/// The retained sequential engine (pre-catalog implementation): scores
-/// with per-candidate graph rebuilds and commits gate by gate along the
-/// topological traversal. Sole engine for arrival-budgeted runs, whose
-/// admissibility depends on already-committed fan-in configurations.
+/// The retained pre-catalog engine (Engine::reference, the explicit
+/// parity oracle): scores with per-candidate graph rebuilds and commits
+/// gate by gate along the topological traversal.
 OptimizeReport optimize_reference(Netlist& netlist,
                                   const std::map<NetId, SignalStats>& pi_stats,
                                   const celllib::Tech& tech,
@@ -262,66 +261,20 @@ OptimizeReport optimize_reference(Netlist& netlist,
   return report;
 }
 
-/// The default gate-parallel engine (catalog + word-parallel kernel).
+/// The default engine: per-gate tables built gate-parallel (catalog
+/// powers; pin delays too under a delay budget), then the greedy walk
+/// of paper Fig. 3 over them — per-gate argmins when unconstrained, and
+/// under arrival budgeting a walk in which a gate's admissible set
+/// depends on its fan-in's committed configurations.
 OptimizeReport optimize_catalog(Netlist& netlist,
                                 const std::map<NetId, SignalStats>& pi_stats,
                                 const celllib::Tech& tech,
                                 const OptimizeOptions& options) {
-  netlist.validate();
-
-  // OBTAIN_PROBABILITIES + CALCULATE_DENS as one up-front topological
-  // pass: output statistics come from the cell function and are identical
-  // for every configuration (Sec. 4.2), so they never depend on any
-  // reordering decision.
-  std::vector<SignalStats> net_stats(
-      static_cast<std::size_t>(netlist.net_count()), SignalStats{0.5, 0.0});
-  for (NetId id : netlist.primary_inputs()) {
-    const auto it = pi_stats.find(id);
-    require(it != pi_stats.end(),
-            "optimize: missing statistics for primary input '" +
-                netlist.net(id).name + "'");
-    net_stats[static_cast<std::size_t>(id)] = it->second;
-  }
-  const std::vector<GateId> topo_order = netlist.topological_order();
-  std::vector<std::vector<SignalStats>> gate_inputs(
-      static_cast<std::size_t>(netlist.gate_count()));
-  for (GateId g : topo_order) {
-    const netlist::GateInst& inst = netlist.gate(g);
-    std::vector<SignalStats>& inputs = gate_inputs[static_cast<std::size_t>(g)];
-    inputs.reserve(inst.inputs.size());
-    for (NetId in : inst.inputs) {
-      inputs.push_back(net_stats[static_cast<std::size_t>(in)]);
-    }
-    net_stats[static_cast<std::size_t>(inst.output)] = boolfn::propagate(
-        netlist.library().cell(inst.cell).function(), inputs);
-  }
-
-  // Catalog prefetch, serial: the CellLibrary cache makes this one
-  // characterisation per distinct cell configuration, shared by all gates.
-  const bool cancellable = options.cancel.valid();
-  std::vector<std::shared_ptr<const ReorderCatalog>> catalogs(
-      static_cast<std::size_t>(netlist.gate_count()));
-  for (GateId g = 0; g < netlist.gate_count(); ++g) {
-    if (cancellable) options.cancel.check("optimize");
-    catalogs[static_cast<std::size_t>(g)] = with_error_site("characterize", [&] {
-      return netlist.library().catalog(netlist.gate(g).config);
-    });
-  }
-
-  // FIND_BEST_REORDERING for all gates, concurrently: decisions are
-  // independent, each worker writes only its own gate's slot.
-  struct GateOutcome {
-    GateDecision decision;
-    std::size_t chosen = 0;
-    int rejected_instance = 0;
-  };
-  std::vector<GateOutcome> outcomes(
-      static_cast<std::size_t>(netlist.gate_count()));
   // Auto-sized runs share one long-lived pool (spawning and joining
   // threads per optimize() call would dominate small netlists); the pool
   // is a single-submitter structure, so concurrent optimize() calls
-  // serialise their parallel phases on the guard mutex. An explicit
-  // thread count gets a dedicated pool.
+  // serialise on the guard mutex. An explicit thread count gets a
+  // dedicated pool.
   util::ThreadPool* pool = nullptr;
   std::unique_lock<std::mutex> shared_guard;
   std::optional<util::ThreadPool> own_pool;
@@ -331,78 +284,26 @@ OptimizeReport optimize_catalog(Netlist& netlist,
     shared_guard = std::unique_lock<std::mutex>(shared_pool_mutex);
     pool = &shared_pool;
   } else {
-    own_pool.emplace(options.threads);
-    pool = &*own_pool;
+    pool = &own_pool.emplace(options.threads);
   }
-  pool->parallel_for(
-      static_cast<std::size_t>(netlist.gate_count()), [&](std::size_t gi) {
-        if (cancellable) options.cancel.check("optimize");
-        thread_local ScoreScratch scratch;
-        const GateId g = static_cast<GateId>(gi);
-        const ReorderCatalog& catalog = *catalogs[gi];
-        const double load = netlist.external_load(g, tech);
-        const std::vector<double>& powers = with_error_site("score", [&]() -> const std::vector<double>& {
-          return score_catalog(catalog, gate_inputs[gi], load, tech,
-                               options.model, scratch);
-        });
-        TR_ASSERT(!powers.empty());
-
-        GateOutcome& outcome = outcomes[gi];
-        GateDecision& decision = outcome.decision;
-        decision.gate = g;
-        decision.config_count = static_cast<int>(powers.size());
-        decision.original_power = powers.front();  // incoming config first
-        decision.best_power = powers.front();
-        decision.worst_power = powers.front();
-        std::size_t chosen = 0;
-        for (std::size_t i = 0; i < powers.size(); ++i) {
-          const double p = powers[i];
-          if (p < decision.best_power) decision.best_power = p;
-          if (p > decision.worst_power) decision.worst_power = p;
-          if (options.restrict_to_instance &&
-              !catalog.configs()[i].same_instance_as_first) {
-            ++outcome.rejected_instance;
-            continue;
-          }
-          const bool better = options.objective == Objective::minimize_power
-                                  ? p < powers[chosen]
-                                  : p > powers[chosen];
-          if (better) chosen = i;
-        }
-        decision.chosen_power = powers[chosen];
-        decision.changed = chosen != 0;
-        outcome.chosen = chosen;
-      });
+  const std::vector<search::GateTable> tables = search::build_tables(
+      netlist, pi_stats, tech, options.model,
+      options.max_circuit_delay_increase.has_value(), options.cancel, pool);
+  const std::vector<GateId> topo_order = netlist.topological_order();
+  const search::GreedySeed walk =
+      search::greedy_seed(netlist, tables, topo_order, options);
 
   // Last cancellation point: past here the netlist is mutated, so the
   // commit runs to completion and the result is the full deterministic
   // report (all-or-nothing without needing a snapshot on this engine).
-  if (cancellable) options.cancel.check("optimize");
+  if (options.cancel.valid()) options.cancel.check("optimize");
 
-  // UPDATE_CIRCUIT_INFORMATION: commit and assemble deterministically in
-  // GateId order; power totals accumulate in topological order to stay
-  // bit-identical with the reference engine's running sums.
-  OptimizeReport report;
+  OptimizeReport report =
+      search::commit(netlist, tables, topo_order, walk.configs);
   report.engine_used = Engine::catalog;
   report.threads_used = pool->thread_count();
-  report.decisions.resize(static_cast<std::size_t>(netlist.gate_count()));
-  for (GateId g = 0; g < netlist.gate_count(); ++g) {
-    const GateOutcome& outcome = outcomes[static_cast<std::size_t>(g)];
-    report.decisions[static_cast<std::size_t>(g)] = outcome.decision;
-    report.configs_rejected_by_instance += outcome.rejected_instance;
-    if (outcome.decision.changed) {
-      netlist.set_config(
-          g, catalogs[static_cast<std::size_t>(g)]->configs()[outcome.chosen]
-                 .topology);
-      ++report.gates_changed;
-    }
-  }
-  for (GateId g : topo_order) {
-    report.model_power_before +=
-        report.decisions[static_cast<std::size_t>(g)].original_power;
-    report.model_power_after +=
-        report.decisions[static_cast<std::size_t>(g)].chosen_power;
-  }
+  report.configs_rejected_by_delay = walk.rejected_delay;
+  report.configs_rejected_by_instance = walk.rejected_instance;
   return report;
 }
 
@@ -421,14 +322,7 @@ OptimizeReport optimize(Netlist& netlist,
     if (options.engine == Engine::anneal) {
       return search::anneal_optimize(netlist, pi_stats, tech, options);
     }
-    // Arrival budgeting couples a gate's admissible set to its fan-in
-    // gates' committed configurations — inherently sequential, so a
-    // budgeted catalog request is downgraded to the reference engine
-    // (legacy fallback; Engine::anneal lifts the restriction — see
-    // DESIGN.md Sec. 14 for the removal plan). The report's engine_used
-    // records the downgrade.
-    if (options.engine == Engine::reference ||
-        options.max_circuit_delay_increase.has_value()) {
+    if (options.engine == Engine::reference) {
       return optimize_reference(netlist, pi_stats, tech, options);
     }
     return optimize_catalog(netlist, pi_stats, tech, options);

@@ -4,20 +4,21 @@
 //
 // Signal statistics are configuration-invariant (Sec. 4.2), so the
 // algorithm splits into one cheap topological pass that propagates
-// probabilities and transition densities, followed by per-gate decisions
-// that are fully independent: every gate looks up the precomputed
+// probabilities and transition densities, followed by per-gate scoring
+// that is fully independent: every gate looks up the precomputed
 // reordering catalog of its cell (celllib::ReorderCatalog, cached in the
-// CellLibrary), scores all candidate configurations with the word-parallel
-// boolean kernel, and commits the best one. Gates are scored concurrently
-// on a small thread pool; results are deterministic regardless of thread
-// count (per-gate tie-breaking keeps enumeration order, the report is
-// assembled in GateId order and accumulated in topological order, exactly
-// like the reference engine).
+// CellLibrary) and scores all candidate configurations with the
+// word-parallel boolean kernel, concurrently on a small thread pool (plus
+// per-pin delay tables under a delay budget). One greedy walk over those
+// tables then picks a configuration per gate (opt/search.hpp). Results
+// are deterministic regardless of thread count (per-gate tie-breaking
+// keeps enumeration order, the report is assembled in GateId order and
+// accumulated in topological order, exactly like the reference engine).
 //
 // The pre-catalog implementation — rebuild a GateGraph and re-run the
 // path-function DFS for every candidate — is retained as
-// Engine::reference; the parity test suite asserts both engines return
-// bit-identical reports.
+// Engine::reference, the explicit oracle; the parity test suite asserts
+// both engines return bit-identical reports, budgeted or not.
 
 #include <cstdint>
 #include <map>
@@ -42,11 +43,11 @@ enum class Objective { minimize_power, maximize_power };
 
 /// Which scoring engine optimize() runs.
 enum class Engine {
-  /// Catalog + word-parallel kernel + gate-parallel traversal (default).
+  /// Catalog + word-parallel kernel + gate-parallel scoring, then the
+  /// greedy walk over the tables (default, budgeted or not).
   catalog,
   /// The retained per-candidate graph-rebuild scorer: the parity oracle,
-  /// and the legacy fallback for arrival budgeting (which makes per-gate
-  /// decisions order-dependent).
+  /// selected only explicitly.
   reference,
   /// Iterated local search / simulated annealing over joint gate
   /// configurations on the incremental fanout-cone rescorer
@@ -98,10 +99,11 @@ struct OptimizeOptions {
   /// without increasing the delay of the circuit", distinct from
   /// nullopt (the default), which disables the constraint entirely.
   /// The value must be finite and >= 0 (enforced by optimize()).
-  /// Budgeted greedy runs fall back to the sequential reference engine
-  /// (a gate's admissible set depends on its fan-in gates' committed
-  /// configurations); Engine::anneal lifts that restriction to a global
-  /// search over per-output ceilings (DESIGN.md Sec. 14).
+  /// A gate's admissible set depends on its fan-in gates' committed
+  /// configurations, so the catalog engine builds its tables
+  /// gate-parallel and then walks them sequentially; Engine::anneal
+  /// lifts the per-net restriction to a global search over per-output
+  /// ceilings (DESIGN.md Sec. 14).
   std::optional<double> max_circuit_delay_increase;
 
   /// Paper conclusion (a): when true, only configurations realisable by
@@ -117,16 +119,17 @@ struct OptimizeOptions {
   /// Annealing knobs; consulted only when engine == Engine::anneal.
   AnnealParams anneal;
 
-  /// Worker threads for the gate-parallel phase; 0 = one per hardware
-  /// thread, 1 = serial. Ignored by the reference engine.
+  /// Worker threads for the gate-parallel phase (the catalog engine's
+  /// scoring and table build); 0 = one per hardware thread, 1 = serial.
+  /// Ignored by the reference and annealing engines.
   int threads = 0;
 
   /// Cooperative cancellation, polled at gate granularity. A cancelled
   /// run throws tr::Cancelled before any configuration is committed
-  /// (catalog engine) or mid-traversal (reference engine — the batch
-  /// layer restores the netlist), so the caller never observes a
-  /// partially optimized circuit with result numbers attached. The
-  /// default token is inert.
+  /// (catalog and annealing engines, budgeted or not) or mid-traversal
+  /// (the reference oracle — the batch layer restores the netlist), so
+  /// the caller never observes a partially optimized circuit with
+  /// result numbers attached. The default token is inert.
   util::CancellationToken cancel;
 };
 
@@ -160,19 +163,16 @@ struct OptimizeReport {
   int gates_changed = 0;
   /// Candidates rejected by the delay constraint (0 when disabled). For
   /// the annealing engine this counts the greedy seed phase, whose
-  /// semantics match the reference engine; move-level rejections live in
+  /// semantics match the other engines; move-level rejections live in
   /// `anneal`.
   int configs_rejected_by_delay = 0;
   /// Candidates skipped by the instance restriction (0 when disabled).
   int configs_rejected_by_instance = 0;
   /// The engine that actually ran — recorded by optimize() itself, so
-  /// consumers never have to re-infer routing from the options (a
-  /// delay-budgeted Engine::catalog request is downgraded to reference
-  /// while that fallback exists; see optimize()).
+  /// consumers never have to re-infer routing from the options.
   Engine engine_used = Engine::catalog;
   /// Gate-level worker threads the scoring phase actually used (1 for
-  /// the sequential reference and annealing engines) — surfaces the
-  /// silent thread-count downgrade of budgeted runs.
+  /// the sequential reference and annealing engines).
   int threads_used = 1;
   /// Present iff engine_used == Engine::anneal.
   std::optional<AnnealStats> anneal;

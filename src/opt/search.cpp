@@ -8,8 +8,10 @@
 #include "celllib/cell.hpp"
 #include "delay/elmore.hpp"
 #include "gategraph/gate_graph.hpp"
+#include "power/circuit_power.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tr::opt::search {
 
@@ -29,85 +31,122 @@ constexpr double k_budget_epsilon = 1e-18;
 
 constexpr double k_inf = std::numeric_limits<double>::infinity();
 
+/// The circuit_delay recurrence for one gate: the max over pins, in pin
+/// order and starting from 0.0, of input arrival + pin delay.
+double gate_arrival(const netlist::GateInst& inst,
+                    const std::vector<double>& pin_delay,
+                    const std::vector<double>& arrival) {
+  double out = 0.0;
+  for (std::size_t pin = 0; pin < inst.inputs.size(); ++pin) {
+    out = std::max(
+        out, arrival[static_cast<std::size_t>(inst.inputs[pin])] +
+                 pin_delay[pin]);
+  }
+  return out;
+}
+
 }  // namespace
+
+std::vector<GateTable> build_tables(
+    const Netlist& netlist, const std::map<NetId, SignalStats>& pi_stats,
+    const celllib::Tech& tech, power::ModelKind model, bool with_delays,
+    const util::CancellationToken& cancel, util::ThreadPool* pool) {
+  netlist.validate();
+  // Signal statistics are configuration-invariant (paper Sec. 4.2): one
+  // topological pass fixes every gate's input statistics for good.
+  const std::vector<SignalStats> net_stats =
+      power::propagate_activity(netlist, pi_stats).net_stats;
+
+  // Serial pass in GateId order: catalogs (the CellLibrary cache
+  // characterises each distinct configuration once) and the pin-delay
+  // memo's slots — gates sharing a cell configuration and external load
+  // share one delay table, numbered in first-use order.
+  const std::size_t gates = static_cast<std::size_t>(netlist.gate_count());
+  std::vector<GateTable> tables(gates);
+  std::vector<std::size_t> delay_slot(gates);
+  std::vector<std::pair<GateId, double>> slot_owner;  ///< (gate, load)
+  std::map<std::pair<const ReorderCatalog*, double>, std::size_t> slot_of;
+  const bool cancellable = cancel.valid();
+  for (GateId g = 0; g < netlist.gate_count(); ++g) {
+    if (cancellable) cancel.check("optimize");
+    GateTable& table = tables[static_cast<std::size_t>(g)];
+    table.catalog = with_error_site("characterize", [&] {
+      return netlist.library().catalog(netlist.gate(g).config);
+    });
+    if (!with_delays) continue;
+    const double load = netlist.external_load(g, tech);
+    const auto slot = slot_of.emplace(
+        std::make_pair(table.catalog.get(), load), slot_owner.size());
+    if (slot.second) slot_owner.emplace_back(g, load);
+    delay_slot[static_cast<std::size_t>(g)] = slot.first->second;
+  }
+
+  // Parallel pass, one slot per task: task i < gates scores gate i's
+  // configurations; every later task fills one pin-delay table through
+  // the very delay::gate_delays code path the reference engine runs.
+  std::vector<std::shared_ptr<const std::vector<std::vector<double>>>>
+      delay_tables(slot_owner.size());
+  const auto build = [&](std::size_t i) {
+    if (cancellable) cancel.check("optimize");
+    if (i < gates) {
+      thread_local ScoreScratch scratch;
+      thread_local std::vector<SignalStats> inputs;
+      const GateId g = static_cast<GateId>(i);
+      inputs.clear();
+      for (NetId in : netlist.gate(g).inputs) {
+        inputs.push_back(net_stats[static_cast<std::size_t>(in)]);
+      }
+      tables[i].power = with_error_site("score", [&] {
+        return score_catalog(*tables[i].catalog, inputs,
+                             netlist.external_load(g, tech), tech, model,
+                             scratch);
+      });
+      TR_ASSERT(!tables[i].power.empty());  // the incoming config
+      return;
+    }
+    const auto [owner, load] = slot_owner[i - gates];
+    const ReorderCatalog& catalog =
+        *tables[static_cast<std::size_t>(owner)].catalog;
+    auto delays = std::make_shared<std::vector<std::vector<double>>>();
+    delays->reserve(catalog.configs().size());
+    for (const celllib::CatalogConfig& config : catalog.configs()) {
+      const GateGraph graph(config.topology);
+      const std::vector<double> caps =
+          celllib::node_capacitances(graph, tech, load);
+      delays->push_back(delay::gate_delays(graph, caps, tech).pin_delay);
+    }
+    delay_tables[i - gates] = std::move(delays);
+  };
+  const std::size_t tasks = gates + slot_owner.size();
+  if (pool != nullptr) {
+    pool->parallel_for(tasks, build);
+  } else {
+    for (std::size_t i = 0; i < tasks; ++i) build(i);
+  }
+  if (with_delays) {
+    for (std::size_t gi = 0; gi < gates; ++gi) {
+      tables[gi].pin_delay = delay_tables[delay_slot[gi]];
+    }
+  }
+  return tables;
+}
 
 IncrementalScorer::IncrementalScorer(
     const Netlist& netlist, const std::map<NetId, SignalStats>& pi_stats,
     const celllib::Tech& tech, power::ModelKind model,
     const util::CancellationToken& cancel)
-    : netlist_(&netlist) {
-  netlist.validate();
-
-  // Signal statistics are configuration-invariant (paper Sec. 4.2): one
-  // topological pass fixes every gate's input statistics for good.
-  std::vector<SignalStats> net_stats(
-      static_cast<std::size_t>(netlist.net_count()), SignalStats{0.5, 0.0});
-  for (NetId id : netlist.primary_inputs()) {
-    const auto it = pi_stats.find(id);
-    require(it != pi_stats.end(),
-            "search: missing statistics for primary input '" +
-                netlist.net(id).name + "'");
-    net_stats[static_cast<std::size_t>(id)] = it->second;
-  }
-
-  topo_order_ = netlist.topological_order();
-  topo_rank_.assign(static_cast<std::size_t>(netlist.gate_count()), 0);
+    : netlist_(&netlist),
+      tables_(build_tables(netlist, pi_stats, tech, model,
+                           /*with_delays=*/true, cancel, nullptr)),
+      topo_order_(netlist.topological_order()) {
+  topo_rank_.assign(tables_.size(), 0);
   for (std::size_t i = 0; i < topo_order_.size(); ++i) {
     topo_rank_[static_cast<std::size_t>(topo_order_[i])] = static_cast<int>(i);
   }
-
-  // Per-gate tables. Powers go through the word-parallel catalog scorer
-  // (bit-identical to the reference per-candidate scorer by the parity
-  // suite); pin delays go through the very delay::gate_delays code path
-  // the reference engine runs, memoised per (catalog, external load) —
-  // gates sharing a cell configuration and load share one delay table.
-  tables_.resize(static_cast<std::size_t>(netlist.gate_count()));
-  std::map<std::pair<const ReorderCatalog*, double>,
-           std::shared_ptr<const std::vector<std::vector<double>>>>
-      delay_cache;
-  ScoreScratch scratch;
-  const bool cancellable = cancel.valid();
-  for (GateId g : topo_order_) {
-    if (cancellable) cancel.check("search");
-    const netlist::GateInst& inst = netlist.gate(g);
-    std::vector<SignalStats> inputs;
-    inputs.reserve(inst.inputs.size());
-    for (NetId in : inst.inputs) {
-      inputs.push_back(net_stats[static_cast<std::size_t>(in)]);
-    }
-
-    GateTable& table = tables_[static_cast<std::size_t>(g)];
-    table.catalog = with_error_site("characterize", [&] {
-      return netlist.library().catalog(inst.config);
-    });
-    const double load = netlist.external_load(g, tech);
-    table.power = with_error_site("score", [&] {
-      return score_catalog(*table.catalog, inputs, load, tech, model, scratch);
-    });
-
-    const auto key = std::make_pair(table.catalog.get(), load);
-    auto cached = delay_cache.find(key);
-    if (cached == delay_cache.end()) {
-      auto delays = std::make_shared<std::vector<std::vector<double>>>();
-      delays->reserve(table.catalog->configs().size());
-      for (const celllib::CatalogConfig& config : table.catalog->configs()) {
-        const GateGraph graph(config.topology);
-        const std::vector<double> caps =
-            celllib::node_capacitances(graph, tech, load);
-        delays->push_back(delay::gate_delays(graph, caps, tech).pin_delay);
-      }
-      cached = delay_cache.emplace(key, std::move(delays)).first;
-    }
-    table.pin_delay = cached->second;
-
-    net_stats[static_cast<std::size_t>(inst.output)] = boolfn::propagate(
-        netlist.library().cell(inst.cell).function(), inputs);
-  }
-
-  config_.assign(static_cast<std::size_t>(netlist.gate_count()), 0);
+  config_.assign(tables_.size(), 0);
   arrival_.assign(static_cast<std::size_t>(netlist.net_count()), 0.0);
   po_ceiling_.assign(static_cast<std::size_t>(netlist.net_count()), k_inf);
-  queued_.assign(static_cast<std::size_t>(netlist.gate_count()), 0);
+  queued_.assign(tables_.size(), 0);
   recompute_state();
 }
 
@@ -122,13 +161,8 @@ void IncrementalScorer::recompute_state() {
     const int cfg = config_[static_cast<std::size_t>(g)];
     const std::vector<double>& pd =
         (*table.pin_delay)[static_cast<std::size_t>(cfg)];
-    double arrival = 0.0;
-    for (std::size_t pin = 0; pin < inst.inputs.size(); ++pin) {
-      arrival = std::max(
-          arrival, arrival_[static_cast<std::size_t>(inst.inputs[pin])] +
-                       pd[pin]);
-    }
-    arrival_[static_cast<std::size_t>(inst.output)] = arrival;
+    arrival_[static_cast<std::size_t>(inst.output)] =
+        gate_arrival(inst, pd, arrival_);
     total_power_ += table.power[static_cast<std::size_t>(cfg)];
   }
   po_violations_ = 0;
@@ -202,12 +236,7 @@ IncrementalScorer::Undo IncrementalScorer::apply(GateId g, int config) {
     const std::vector<double>& pd =
         (*tables_[static_cast<std::size_t>(u)].pin_delay)[
             static_cast<std::size_t>(config_[static_cast<std::size_t>(u)])];
-    double arrival = 0.0;
-    for (std::size_t pin = 0; pin < inst.inputs.size(); ++pin) {
-      arrival = std::max(
-          arrival, arrival_[static_cast<std::size_t>(inst.inputs[pin])] +
-                       pd[pin]);
-    }
+    const double arrival = gate_arrival(inst, pd, arrival_);
     const NetId out = inst.output;
     double& stored = arrival_[static_cast<std::size_t>(out)];
     if (arrival == stored) continue;
@@ -255,13 +284,8 @@ std::vector<double> IncrementalScorer::full_arrivals() const {
     const std::vector<double>& pd =
         (*tables_[static_cast<std::size_t>(g)].pin_delay)[
             static_cast<std::size_t>(config_[static_cast<std::size_t>(g)])];
-    double out = 0.0;
-    for (std::size_t pin = 0; pin < inst.inputs.size(); ++pin) {
-      out = std::max(
-          out,
-          arrival[static_cast<std::size_t>(inst.inputs[pin])] + pd[pin]);
-    }
-    arrival[static_cast<std::size_t>(inst.output)] = out;
+    arrival[static_cast<std::size_t>(inst.output)] =
+        gate_arrival(inst, pd, arrival);
   }
   return arrival;
 }
@@ -289,62 +313,53 @@ std::vector<double> IncrementalScorer::required_times() const {
   return required;
 }
 
-GreedySeed greedy_seed(const IncrementalScorer& scorer,
+GreedySeed greedy_seed(const Netlist& netlist,
+                       const std::vector<GateTable>& tables,
+                       const std::vector<GateId>& topo_order,
                        const OptimizeOptions& options) {
-  for (int cfg : scorer.configs()) {
-    require(cfg == 0, "greedy_seed: scorer must hold the incoming configs");
-  }
-  const Netlist& netlist = scorer.netlist();
   GreedySeed seed;
-  seed.configs.assign(static_cast<std::size_t>(scorer.gate_count()), 0);
+  seed.configs.assign(tables.size(), 0);
 
   // The reference engine's arrival budgeting, off the tables: per-net
-  // ceilings of (1 + f) x the original arrival (the scorer still holds
-  // configuration 0 everywhere, so its arrivals are the original ones),
-  // running arrivals of the partially committed netlist, and the same
-  // 1e-18 admissibility epsilon.
+  // ceilings of (1 + f) x the original arrival (the circuit_delay
+  // recurrence over configuration 0, i.e. the incoming netlist), running
+  // arrivals of the partially committed netlist, and the same 1e-18
+  // admissibility epsilon.
   const bool budget_delay = options.max_circuit_delay_increase.has_value();
-  std::vector<double> arrival_budget;
+  std::vector<double> original;
   std::vector<double> arrival;
   if (budget_delay) {
-    const std::vector<double>& original = scorer.arrivals();
-    arrival_budget.resize(original.size());
-    for (std::size_t i = 0; i < original.size(); ++i) {
-      arrival_budget[i] =
-          original[i] * (1.0 + *options.max_circuit_delay_increase);
-    }
+    original.assign(static_cast<std::size_t>(netlist.net_count()), 0.0);
     arrival.assign(static_cast<std::size_t>(netlist.net_count()), 0.0);
   }
 
-  for (GateId g : scorer.topo_order()) {
-    const GateTable& table = scorer.table(g);
+  std::vector<char> admissible;
+  std::vector<double> candidate_arrival;
+  for (GateId g : topo_order) {
+    const GateTable& table = tables[static_cast<std::size_t>(g)];
     const netlist::GateInst& inst = netlist.gate(g);
     const std::size_t n = table.power.size();
 
-    std::vector<bool> admissible(n, true);
+    admissible.assign(n, 1);
     if (options.restrict_to_instance) {
       for (std::size_t i = 0; i < n; ++i) {
         if (!table.same_instance(static_cast<int>(i))) {
-          admissible[i] = false;
+          admissible[i] = 0;
           ++seed.rejected_instance;
         }
       }
     }
-    std::vector<double> candidate_arrival(n, 0.0);
     if (budget_delay) {
+      const std::size_t out = static_cast<std::size_t>(inst.output);
+      original[out] = gate_arrival(inst, (*table.pin_delay)[0], original);
       const double budget =
-          arrival_budget[static_cast<std::size_t>(inst.output)];
+          original[out] * (1.0 + *options.max_circuit_delay_increase);
+      candidate_arrival.assign(n, 0.0);
       for (std::size_t i = 0; i < n; ++i) {
-        const std::vector<double>& pd = (*table.pin_delay)[i];
-        double out = 0.0;
-        for (std::size_t pin = 0; pin < inst.inputs.size(); ++pin) {
-          out = std::max(
-              out, arrival[static_cast<std::size_t>(inst.inputs[pin])] +
-                       pd[pin]);
-        }
-        candidate_arrival[i] = out;
-        if (i > 0 && out > budget + k_budget_epsilon) {
-          admissible[i] = false;
+        candidate_arrival[i] =
+            gate_arrival(inst, (*table.pin_delay)[i], arrival);
+        if (i > 0 && candidate_arrival[i] > budget + k_budget_epsilon) {
+          admissible[i] = 0;
           ++seed.rejected_delay;
         }
       }
@@ -366,6 +381,48 @@ GreedySeed greedy_seed(const IncrementalScorer& scorer,
     }
   }
   return seed;
+}
+
+GreedySeed greedy_seed(const IncrementalScorer& scorer,
+                       const OptimizeOptions& options) {
+  return greedy_seed(scorer.netlist(), scorer.tables(), scorer.topo_order(),
+                     options);
+}
+
+OptimizeReport commit(Netlist& netlist, const std::vector<GateTable>& tables,
+                      const std::vector<GateId>& topo_order,
+                      const std::vector<int>& configs) {
+  require(configs.size() == tables.size(),
+          "search: configuration vector arity mismatch");
+  OptimizeReport report;
+  report.decisions.resize(tables.size());
+  for (std::size_t gi = 0; gi < tables.size(); ++gi) {
+    const GateTable& table = tables[gi];
+    GateDecision& decision = report.decisions[gi];
+    decision.gate = static_cast<GateId>(gi);
+    decision.config_count = table.config_count();
+    decision.original_power = table.power.front();  // incoming config first
+    decision.best_power = table.power.front();
+    decision.worst_power = table.power.front();
+    for (const double p : table.power) {
+      if (p < decision.best_power) decision.best_power = p;
+      if (p > decision.worst_power) decision.worst_power = p;
+    }
+    const std::size_t cfg = static_cast<std::size_t>(configs[gi]);
+    decision.chosen_power = table.power[cfg];
+    decision.changed = cfg != 0;
+    if (decision.changed) {
+      netlist.set_config(decision.gate, table.catalog->configs()[cfg].topology);
+      ++report.gates_changed;
+    }
+  }
+  for (GateId g : topo_order) {
+    report.model_power_before +=
+        report.decisions[static_cast<std::size_t>(g)].original_power;
+    report.model_power_after +=
+        report.decisions[static_cast<std::size_t>(g)].chosen_power;
+  }
+  return report;
 }
 
 OptimizeReport anneal_optimize(Netlist& netlist,
@@ -454,13 +511,9 @@ OptimizeReport anneal_optimize(Netlist& netlist,
         const netlist::GateInst& inst = netlist.gate(g);
         const std::vector<double>& pd =
             (*table.pin_delay)[static_cast<std::size_t>(candidate)];
-        double out = 0.0;
-        for (std::size_t pin = 0; pin < inst.inputs.size(); ++pin) {
-          out = std::max(
-              out, scorer.arrival(inst.inputs[pin]) + pd[pin]);
-        }
-        if (out > required[static_cast<std::size_t>(inst.output)] +
-                      k_budget_epsilon) {
+        if (gate_arrival(inst, pd, scorer.arrivals()) >
+            required[static_cast<std::size_t>(inst.output)] +
+                k_budget_epsilon) {
           ++stats.rejected_delay;
           continue;
         }
@@ -510,40 +563,12 @@ OptimizeReport anneal_optimize(Netlist& netlist,
   if (!use_best) scorer.set_configs(seed.configs);
   TR_ASSERT(scorer.feasible());
 
-  OptimizeReport report;
+  OptimizeReport report =
+      commit(netlist, scorer.tables(), scorer.topo_order(), scorer.configs());
   report.engine_used = Engine::anneal;
   report.threads_used = 1;
   report.configs_rejected_by_delay = seed.rejected_delay;
   report.configs_rejected_by_instance = seed.rejected_instance;
-  report.decisions.resize(static_cast<std::size_t>(gates));
-  for (GateId g = 0; g < gates; ++g) {
-    const GateTable& table = scorer.table(g);
-    GateDecision decision;
-    decision.gate = g;
-    decision.config_count = table.config_count();
-    decision.original_power = table.power.front();
-    decision.best_power = table.power.front();
-    decision.worst_power = table.power.front();
-    for (const double p : table.power) {
-      if (p < decision.best_power) decision.best_power = p;
-      if (p > decision.worst_power) decision.worst_power = p;
-    }
-    const int cfg = scorer.config_of(g);
-    decision.chosen_power = table.power[static_cast<std::size_t>(cfg)];
-    decision.changed = cfg != 0;
-    if (decision.changed) {
-      netlist.set_config(
-          g, table.catalog->configs()[static_cast<std::size_t>(cfg)].topology);
-      ++report.gates_changed;
-    }
-    report.decisions[static_cast<std::size_t>(g)] = decision;
-  }
-  for (GateId g : scorer.topo_order()) {
-    report.model_power_before +=
-        report.decisions[static_cast<std::size_t>(g)].original_power;
-    report.model_power_after +=
-        report.decisions[static_cast<std::size_t>(g)].chosen_power;
-  }
   stats.greedy_power = greedy_power;
   stats.final_power = report.model_power_after;
   report.anneal = stats;

@@ -11,7 +11,7 @@
 // paths aggressively while the primary-output ceilings protect the
 // critical ones.
 //
-// Two pieces:
+// Three pieces:
 //
 //  * IncrementalScorer — the rescoring core. One-time setup precomputes,
 //    per gate, the model power and the per-pin Elmore delays of *every*
@@ -28,18 +28,20 @@
 //    delay::circuit_delay on the materialised netlist) — is pinned by
 //    tests/test_search.cpp.
 //
+//  * greedy_seed — the paper's Fig. 3 walk over the tables: the
+//    decision step of the catalog engine, budgeted or not.
+//
 //  * anneal_optimize — iterated local search / simulated annealing over
-//    the scorer. Seeded from greedy_seed (a table-driven replica of the
-//    engines' greedy pass, bit-identical to them by the parity suite),
-//    it draws single-gate configuration moves from a seeded stream,
-//    keeps per-output arrival ceilings hard (a move that leaves any
-//    primary output beyond (1 + budget) x its original arrival is
-//    rejected), prunes obviously infeasible moves early against
-//    periodically refreshed required times (per-path slack budgets),
-//    and tracks the best feasible state. Because the search starts at
-//    the greedy solution and the final commit never picks a worse true
-//    objective than the seed, annealing meets or beats greedy at the
-//    same delay budget on every circuit, deterministically per seed.
+//    the scorer. Seeded from greedy_seed, it draws single-gate
+//    configuration moves from a seeded stream, keeps per-output arrival
+//    ceilings hard (a move that leaves any primary output beyond
+//    (1 + budget) x its original arrival is rejected), prunes obviously
+//    infeasible moves early against periodically refreshed required
+//    times (per-path slack budgets), and tracks the best feasible state.
+//    Because the search starts at the greedy solution and the final
+//    commit never picks a worse true objective than the seed, annealing
+//    meets or beats greedy at the same delay budget on every circuit,
+//    deterministically per seed.
 
 #include <cstdint>
 #include <map>
@@ -54,6 +56,10 @@
 #include "opt/optimizer.hpp"
 #include "util/cancel.hpp"
 
+namespace tr::util {
+class ThreadPool;
+}
+
 namespace tr::opt::search {
 
 /// Precomputed scoring tables of one gate: the model power and the
@@ -63,7 +69,8 @@ struct GateTable {
   std::shared_ptr<const celllib::ReorderCatalog> catalog;
   std::vector<double> power;  ///< model power per configuration [W]
   /// pin_delay[config][pin]: worst Elmore pin-to-output delay [s],
-  /// identical to delay::gate_delays on that configuration's graph.
+  /// identical to delay::gate_delays on that configuration's graph
+  /// (null when the tables were built without delays).
   std::shared_ptr<const std::vector<std::vector<double>>> pin_delay;
 
   int config_count() const noexcept { return static_cast<int>(power.size()); }
@@ -75,14 +82,26 @@ struct GateTable {
   }
 };
 
+/// Builds the GateTable of every gate, GateId order: catalogs serially
+/// (through the CellLibrary cache), then power and — `with_delays` —
+/// the pin-delay tables memoised per (catalog, external load), one task
+/// per gate or memo slot on `pool` (nullptr = serial). Every task fills
+/// its own slot, so the tables are identical for any thread count.
+/// Polls `cancel` per task; `pi_stats` must cover all primary inputs.
+std::vector<GateTable> build_tables(
+    const netlist::Netlist& netlist,
+    const std::map<netlist::NetId, boolfn::SignalStats>& pi_stats,
+    const celllib::Tech& tech, power::ModelKind model, bool with_delays,
+    const util::CancellationToken& cancel, util::ThreadPool* pool);
+
 /// Incremental power + Elmore-arrival state over joint gate
 /// configurations. Construction leaves every gate at configuration 0
 /// (the incoming netlist) with arrivals equal to delay::circuit_delay
 /// of the incoming mapping, field-exactly.
 class IncrementalScorer {
 public:
-  /// Builds the per-gate tables (the expensive one-time pass; polls
-  /// `cancel` per gate). `pi_stats` must cover all primary inputs.
+  /// Builds the per-gate tables (build_tables with delays, serially:
+  /// the expensive one-time pass).
   IncrementalScorer(const netlist::Netlist& netlist,
                     const std::map<netlist::NetId, boolfn::SignalStats>&
                         pi_stats,
@@ -94,6 +113,7 @@ public:
   const GateTable& table(netlist::GateId g) const {
     return tables_[static_cast<std::size_t>(g)];
   }
+  const std::vector<GateTable>& tables() const noexcept { return tables_; }
   const std::vector<netlist::GateId>& topo_order() const noexcept {
     return topo_order_;
   }
@@ -183,20 +203,36 @@ private:
   std::vector<char> queued_;
 };
 
-/// Table-driven replica of the greedy engines' one-pass commit:
-/// topological traversal, per-net arrival budgets of
-/// (1 + budget) x original, enumeration-order tie-breaking — produced
-/// purely from the scorer's tables, bit-identical in its decisions to
-/// optimize() with Engine::reference (budgeted) or Engine::catalog
-/// (unconstrained), as pinned by tests/test_search.cpp. The scorer must
-/// still hold the incoming configurations (all zero).
+/// The greedy walk of paper Fig. 3 over per-gate tables — the catalog
+/// engine's decision step: topological traversal, per-net arrival
+/// budgets of (1 + budget) x the configuration-0 arrival (pin delays
+/// are read only when a budget is set), enumeration-order tie-breaking.
+/// Decisions are bit-identical to the Engine::reference oracle
+/// (tests/test_search.cpp, tests/test_opt_parity.cpp).
 struct GreedySeed {
   std::vector<int> configs;  ///< chosen configuration per gate, GateId order
   int rejected_delay = 0;
   int rejected_instance = 0;
 };
+GreedySeed greedy_seed(const netlist::Netlist& netlist,
+                       const std::vector<GateTable>& tables,
+                       const std::vector<netlist::GateId>& topo_order,
+                       const OptimizeOptions& options);
+/// The walk over a scorer's tables (its current configurations are
+/// ignored).
 GreedySeed greedy_seed(const IncrementalScorer& scorer,
                        const OptimizeOptions& options);
+
+/// Applies `configs` (one per gate, GateId order) to `netlist` and
+/// assembles the report every catalog-backed engine shares: decisions in
+/// GateId order from the per-gate power tables, power totals accumulated
+/// in topological order (the reference engine's summation order),
+/// gates_changed. Only GateTable::catalog and ::power are read. The
+/// caller fills the engine, thread and rejection fields.
+OptimizeReport commit(netlist::Netlist& netlist,
+                      const std::vector<GateTable>& tables,
+                      const std::vector<netlist::GateId>& topo_order,
+                      const std::vector<int>& configs);
 
 /// The annealing engine behind optimize(Engine::anneal): greedy seed,
 /// seeded simulated annealing over single-gate configuration moves with

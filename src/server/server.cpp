@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <ostream>
 #include <thread>
 
@@ -131,11 +132,18 @@ void Server::serve() {
       break;
     }
     if (fds[1].revents != 0) break;  // drain requested
+    // Join finished connections as we go: a long-lived daemon must not
+    // hold one thread per request served until drain.
+    reap_finished_connections();
     if ((fds[0].revents & POLLIN) == 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
     const std::lock_guard<std::mutex> lock(threads_mutex_);
-    connection_threads_.emplace_back([this, fd] { handle_connection(fd); });
+    Connection& connection = connections_.emplace_back();
+    connection.thread = std::thread([this, fd, &connection] {
+      handle_connection(fd);
+      connection.finished.store(true);
+    });
   }
   draining_.store(true);
 
@@ -144,12 +152,32 @@ void Server::serve() {
   ::close(listen_fd_);
   listen_fd_ = -1;
   service_.drain();
-  std::vector<std::thread> threads;
+  std::list<Connection> connections;
   {
     const std::lock_guard<std::mutex> lock(threads_mutex_);
-    threads.swap(connection_threads_);
+    connections.swap(connections_);
   }
-  for (std::thread& thread : threads) thread.join();
+  for (Connection& connection : connections) connection.thread.join();
+}
+
+void Server::reap_finished_connections() {
+  std::list<Connection> finished;
+  {
+    const std::lock_guard<std::mutex> lock(threads_mutex_);
+    for (auto it = connections_.begin(); it != connections_.end();) {
+      const auto next = std::next(it);
+      if (it->finished.load()) {
+        finished.splice(finished.end(), connections_, it);
+      }
+      it = next;
+    }
+  }
+  for (Connection& connection : finished) connection.thread.join();
+}
+
+std::size_t Server::connection_threads() const {
+  const std::lock_guard<std::mutex> lock(threads_mutex_);
+  return connections_.size();
 }
 
 void Server::request_drain() noexcept {

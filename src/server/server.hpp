@@ -14,17 +14,18 @@
 // unsynchronised, so the connection closes.
 //
 // Drain (SIGTERM via request_drain(), or an 'S' frame): stop accepting,
-// interrupt idle reads, let in-flight requests finish, join connection
-// threads, then serve() returns and the caller flushes the metrics
+// interrupt idle reads, let in-flight requests finish, join the
+// remaining connection threads (finished ones are joined as the accept
+// loop goes), then serve() returns and the caller flushes the metrics
 // dump. request_drain() is async-signal-safe (one write to a self-pipe).
 
 #include <atomic>
 #include <cstddef>
 #include <iosfwd>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "server/protocol.hpp"
 #include "server/service.hpp"
@@ -67,10 +68,22 @@ public:
   /// The drain-time metrics dump (service counters + cache totals).
   void write_metrics_json(std::ostream& out) const;
 
+  /// Connection threads spawned and not yet joined. The accept loop
+  /// joins finished ones on every poll slice, so this tracks the open
+  /// connections rather than the requests served.
+  std::size_t connection_threads() const;
+
   OptimizeService& service() noexcept { return service_; }
 
 private:
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> finished{false};
+  };
+
   void handle_connection(int fd);
+  /// Joins the connection threads that have returned.
+  void reap_finished_connections();
 
   ServerConfig config_;
   OptimizeService service_;
@@ -79,8 +92,8 @@ private:
   int drain_pipe_[2] = {-1, -1};  ///< [0] polled by accept, [1] written
   std::atomic<bool> draining_{false};
 
-  std::mutex threads_mutex_;
-  std::vector<std::thread> connection_threads_;
+  mutable std::mutex threads_mutex_;
+  std::list<Connection> connections_;  ///< stable nodes: threads hold refs
 };
 
 }  // namespace tr::server

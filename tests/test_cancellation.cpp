@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -154,6 +155,53 @@ TEST(Cancellation, OptimizeThrowsAndLeavesNetlistUntouched) {
     }
     // The first checkpoint precedes the first commit on both engines.
     EXPECT_EQ(config_keys(circuit.netlist), before);
+  }
+}
+
+TEST(Cancellation, BudgetedCancelMidTableBuildLeavesNetlistUntouched) {
+  // A delay-budgeted catalog run commits nothing until its table-driven
+  // walk is complete, so a cancellation landing mid-build needs no batch
+  // snapshot: optimize() is called directly here. A watcher cancels as
+  // soon as the build's first catalog lookup shows up on a private
+  // library; a rare run that finishes first is retried.
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    bool cancelled_mid_build = false;
+    for (int attempt = 0; attempt < 5 && !cancelled_mid_build; ++attempt) {
+      const CellLibrary library = CellLibrary::standard();
+      BatchCircuit circuit = make_scenario_circuit(
+          benchgen::build_benchmark(library, benchgen::suite_entry("syn2000")),
+          'A', kSeed);
+      const std::vector<std::string> before = config_keys(circuit.netlist);
+
+      OptimizeOptions options;
+      options.max_circuit_delay_increase = 0.05;
+      options.threads = threads;
+      options.cancel = CancellationToken::cancellable();
+      const std::uint64_t lookups_before =
+          library.catalog_cache_stats().lookups();
+      std::atomic<bool> finished{false};
+      std::thread watcher([&] {
+        while (!finished.load() &&
+               library.catalog_cache_stats().lookups() == lookups_before) {
+          std::this_thread::yield();
+        }
+        options.cancel.request_cancel();
+      });
+      try {
+        optimize(circuit.netlist, circuit.pi_stats, Tech{}, options);
+      } catch (const Cancelled& e) {
+        EXPECT_EQ(ErrorCode::cancelled, e.code());
+        cancelled_mid_build = true;
+      }
+      finished.store(true);
+      watcher.join();
+      EXPECT_GT(library.catalog_cache_stats().lookups(), lookups_before);
+      if (cancelled_mid_build) {
+        EXPECT_EQ(config_keys(circuit.netlist), before);
+      }
+    }
+    EXPECT_TRUE(cancelled_mid_build);
   }
 }
 

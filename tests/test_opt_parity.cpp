@@ -34,21 +34,23 @@ CellLibrary& lib() {
 }
 
 /// Runs both engines on copies of `original` and asserts the reports and
-/// resulting netlists are identical.
-void expect_engine_parity(const Netlist& original,
-                          const std::map<NetId, SignalStats>& stats,
-                          OptimizeOptions options) {
+/// resulting netlists are identical; returns the catalog engine's report.
+OptimizeReport expect_engine_parity(const Netlist& original,
+                                    const std::map<NetId, SignalStats>& stats,
+                                    OptimizeOptions options, int threads = 3) {
   const Tech tech;
   Netlist fast_netlist = original;
   Netlist reference_netlist = original;
 
   options.engine = Engine::catalog;
-  options.threads = 3;  // exercise the pool even on small machines
+  options.threads = threads;  // 3 exercises the pool even on small machines
   const OptimizeReport fast = optimize(fast_netlist, stats, tech, options);
   options.engine = Engine::reference;
   const OptimizeReport reference =
       optimize(reference_netlist, stats, tech, options);
 
+  EXPECT_EQ(fast.engine_used, Engine::catalog);
+  EXPECT_EQ(fast.threads_used, threads);
   EXPECT_EQ(fast.model_power_before, reference.model_power_before);
   EXPECT_EQ(fast.model_power_after, reference.model_power_after);
   EXPECT_EQ(fast.gates_changed, reference.gates_changed);
@@ -56,7 +58,8 @@ void expect_engine_parity(const Netlist& original,
             reference.configs_rejected_by_delay);
   EXPECT_EQ(fast.configs_rejected_by_instance,
             reference.configs_rejected_by_instance);
-  ASSERT_EQ(fast.decisions.size(), reference.decisions.size());
+  EXPECT_EQ(fast.decisions.size(), reference.decisions.size());
+  if (fast.decisions.size() != reference.decisions.size()) return fast;
   for (std::size_t g = 0; g < fast.decisions.size(); ++g) {
     const GateDecision& a = fast.decisions[g];
     const GateDecision& b = reference.decisions[g];
@@ -73,10 +76,11 @@ void expect_engine_parity(const Netlist& original,
               reference_netlist.gate(g).config.canonical_key())
         << "gate " << g;
   }
+  return fast;
 }
 
-/// The full option matrix of the parity contract (delay budgeting is
-/// excluded by design: it always runs on the reference engine).
+/// The full option matrix of the parity contract without a delay budget
+/// (DelayBudgetCatalogMatchesReference covers the budgeted matrix).
 void expect_parity_across_options(const Netlist& original,
                                   const std::map<NetId, SignalStats>& stats) {
   for (power::ModelKind model :
@@ -185,27 +189,58 @@ TEST(OptParity, ScratchReuseDoesNotChangeResults) {
   }
 }
 
-TEST(OptParity, DelayBudgetRoutesToReferenceEngine) {
-  // Arrival budgeting is sequential by nature; requesting it with the
-  // catalog engine must still produce the reference result.
-  const Netlist original = benchgen::ripple_carry_adder(lib(), 4);
-  const auto stats = scenario_b(original, 1e6);
-  const Tech tech;
-  OptimizeOptions budgeted;
-  budgeted.max_circuit_delay_increase = 0.0;
-  budgeted.engine = Engine::catalog;  // must be overridden internally
-  Netlist a = original;
-  const OptimizeReport ra = optimize(a, stats, tech, budgeted);
-  budgeted.engine = Engine::reference;
-  Netlist b = original;
-  const OptimizeReport rb = optimize(b, stats, tech, budgeted);
-  EXPECT_EQ(ra.model_power_after, rb.model_power_after);
-  EXPECT_EQ(ra.gates_changed, rb.gates_changed);
-  EXPECT_EQ(ra.configs_rejected_by_delay, rb.configs_rejected_by_delay);
-  for (int g = 0; g < original.gate_count(); ++g) {
-    EXPECT_EQ(a.gate(g).config.canonical_key(),
-              b.gate(g).config.canonical_key());
+TEST(OptParity, DelayBudgetCatalogMatchesReference) {
+  // A budgeted catalog request walks the gate-parallel tables instead of
+  // rebuilding a GateGraph per candidate; the reference engine stays the
+  // oracle. Every GateDecision, both rejection counters and the power
+  // totals must match bitwise, for any thread count.
+  Rng rng(2026);
+  const CellLibrary sp_lib = testutil::random_sp_library(rng, 4);
+  std::vector<std::pair<Netlist, std::map<NetId, SignalStats>>> circuits;
+  {
+    Netlist adder = benchgen::ripple_carry_adder(lib(), 4);
+    auto stats = scenario_b(adder, 1e6);
+    circuits.emplace_back(std::move(adder), std::move(stats));
+    const auto& spec = benchgen::suite_entry("b1");
+    Netlist b1 = benchgen::build_benchmark(lib(), spec);
+    stats = scenario_a(b1, spec.seed);
+    circuits.emplace_back(std::move(b1), std::move(stats));
+    Netlist random = testutil::random_sp_netlist(sp_lib, rng, 15);
+    stats = scenario_a(random, 11);
+    circuits.emplace_back(std::move(random), std::move(stats));
   }
+  int rejected_delay = 0;
+  for (const auto& [original, stats] : circuits) {
+    for (const double budget : {0.0, 0.05}) {
+      for (Objective objective :
+           {Objective::minimize_power, Objective::maximize_power}) {
+        for (power::ModelKind model :
+             {power::ModelKind::extended, power::ModelKind::output_only}) {
+          for (bool restrict_instance : {false, true}) {
+            for (int threads : {1, 3}) {
+              SCOPED_TRACE(testing::Message()
+                           << "gates=" << original.gate_count()
+                           << " budget=" << budget
+                           << " objective=" << static_cast<int>(objective)
+                           << " model=" << static_cast<int>(model)
+                           << " restrict=" << restrict_instance
+                           << " threads=" << threads);
+              OptimizeOptions options;
+              options.max_circuit_delay_increase = budget;
+              options.objective = objective;
+              options.model = model;
+              options.restrict_to_instance = restrict_instance;
+              rejected_delay +=
+                  expect_engine_parity(original, stats, options, threads)
+                      .configs_rejected_by_delay;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The matrix must exercise the budget for real, not just pass through.
+  EXPECT_GT(rejected_delay, 0);
 }
 
 }  // namespace

@@ -40,6 +40,7 @@
 #include "util/cancel.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tr::opt {
 namespace {
@@ -413,8 +414,8 @@ TEST(AnnealEngine, CancellationLeavesNetlistUntouched) {
 
 TEST(DelayBudgetOption, UnsetAndZeroAreDistinctAndNegativeRejected) {
   // The satellite regression: unset must run the parallel catalog engine
-  // with no rejections; 0.0 is a legitimate zero-slack budget (reference
-  // fallback); invalid values throw instead of silently toggling.
+  // with no rejections; 0.0 is a legitimate zero-slack budget (still the
+  // catalog engine); invalid values throw instead of silently toggling.
   const Tech tech;
   const auto run = [&](OptimizeOptions options) {
     Netlist nl = benchgen::ripple_carry_adder(lib(), 6);
@@ -430,8 +431,8 @@ TEST(DelayBudgetOption, UnsetAndZeroAreDistinctAndNegativeRejected) {
   OptimizeOptions zero;
   zero.max_circuit_delay_increase = 0.0;
   const OptimizeReport constrained = run(zero);
-  EXPECT_EQ(constrained.engine_used, Engine::reference);
-  EXPECT_EQ(constrained.threads_used, 1);
+  EXPECT_EQ(constrained.engine_used, Engine::catalog);
+  EXPECT_EQ(constrained.threads_used, util::ThreadPool(0).thread_count());
   // A zero-slack budget constrains for real on this circuit.
   EXPECT_GE(constrained.model_power_after, unconstrained.model_power_after);
 
@@ -457,15 +458,14 @@ TEST(EngineRecording, ReportsTheEngineAndThreadsActuallyUsed) {
   EXPECT_EQ(rc.threads_used, 2);
   EXPECT_FALSE(rc.anneal.has_value());
 
-  // The routing bug the satellite fixed: a delay-budgeted catalog
-  // request is downgraded to the sequential reference engine, and the
-  // report now records that instead of consumers re-inferring it.
-  OptimizeOptions downgraded = catalog2;
-  downgraded.max_circuit_delay_increase = 0.0;
+  // A delay-budgeted catalog request stays on the catalog engine and
+  // builds its tables on the requested pool.
+  OptimizeOptions budgeted = catalog2;
+  budgeted.max_circuit_delay_increase = 0.0;
   Netlist b = original;
-  const OptimizeReport rr = optimize(b, stats, tech, downgraded);
-  EXPECT_EQ(rr.engine_used, Engine::reference);
-  EXPECT_EQ(rr.threads_used, 1);
+  const OptimizeReport rr = optimize(b, stats, tech, budgeted);
+  EXPECT_EQ(rr.engine_used, Engine::catalog);
+  EXPECT_EQ(rr.threads_used, 2);
 
   OptimizeOptions anneal;
   anneal.engine = Engine::anneal;

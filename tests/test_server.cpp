@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -438,6 +439,34 @@ TEST(ServerCache, BoundedCatalogCacheEvictsLru) {
   const ServiceMetrics metrics = daemon.metrics();
   EXPECT_GT(metrics.cache.evictions, 0u);
   EXPECT_LE(metrics.cached_catalogs, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Connection threads are reaped while serving, not at drain
+
+TEST(ServerConnections, FinishedConnectionThreadsAreJoinedWithoutDrain) {
+  // Without reaping, every request served would keep its connection
+  // thread until drain. The accept loop joins returned threads on every
+  // poll slice, so after each request the count falls back to zero
+  // while the daemon keeps serving.
+  TestServer daemon;
+  constexpr int kRequests = 8;
+  const auto drains_to_zero = [&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (daemon.server().connection_threads() > 0) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return true;
+  };
+  for (int i = 0; i < kRequests; ++i) {
+    expect_serves_cleanly(daemon.port());
+    EXPECT_TRUE(drains_to_zero()) << "request " << i << ": "
+                                  << daemon.server().connection_threads()
+                                  << " connection threads still live";
+  }
+  EXPECT_EQ(daemon.metrics().ok, static_cast<std::uint64_t>(kRequests));
 }
 
 // ---------------------------------------------------------------------------

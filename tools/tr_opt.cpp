@@ -40,9 +40,8 @@
 //                        path within (1+F)x the original; F >= 0
 //                        (default off; 0 = zero-slack budget)
 //   --engine catalog|reference|anneal  scoring engine (default catalog;
-//                        a budgeted catalog run downgrades to the
-//                        sequential reference engine with a warning —
-//                        use anneal for a global search instead)
+//                        reference = the per-candidate rebuild oracle,
+//                        anneal = global search under a delay budget)
 //   --anneal-seed N      move-stream seed of --engine anneal (default 1)
 //   --anneal-iters N     annealing moves per gate (default 256)
 //   --restrict-instance  only same-layout-instance reorderings
@@ -261,19 +260,6 @@ int run_batch(Options& o) {
 
     const celllib::CellLibrary library = celllib::CellLibrary::standard();
     const celllib::Tech tech;
-
-    // While the legacy fallback exists, a delay-budgeted catalog run is
-    // silently sequential (reference engine, one thread per circuit) —
-    // say so instead of leaving the downgrade discoverable only through
-    // the per-circuit "engine"/"threads" report fields.
-    if (o.batch.opt.max_circuit_delay_increase &&
-        o.batch.opt.engine == opt::Engine::catalog) {
-      std::cerr << "tr_opt: warning: --delay-budget downgrades the catalog "
-                   "engine to the sequential reference engine "
-                   "(--threads-per-circuit has no effect); "
-                   "use --engine anneal for a parallel-quality global "
-                   "search\n";
-    }
 
     std::vector<opt::BatchCircuit> batch;
     batch.reserve(o.circuit_specs.size());
