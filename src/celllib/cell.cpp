@@ -10,7 +10,8 @@ Cell::Cell(std::string name, std::vector<std::string> pin_names,
       pin_names_(std::move(pin_names)),
       topology_(gategraph::GateTopology::from_pulldown(
           std::move(pulldown), static_cast<int>(pin_names_.size()))),
-      function_(topology_.output_function()) {
+      function_(topology_.output_function()),
+      pin_devices_(pin_names_.size(), 0) {
   require(!name_.empty(), "Cell: empty name");
   require(!pin_names_.empty(), "Cell: a cell needs at least one pin");
   // Every pin must actually drive a device pair.
@@ -19,16 +20,16 @@ Cell::Cell(std::string name, std::vector<std::string> pin_names,
             "Cell " + name_ + ": pin " + pin_names_[static_cast<std::size_t>(j)] +
                 " does not affect the output");
   }
+  const gategraph::GateGraph graph(topology_);
+  for (const auto& t : graph.transistors()) {
+    ++pin_devices_[static_cast<std::size_t>(t.input)];
+  }
 }
 
 double Cell::pin_capacitance(const Tech& tech, int pin) const {
   require(pin >= 0 && pin < input_count(), "Cell::pin_capacitance: bad pin");
-  int devices = 0;
-  const gategraph::GateGraph graph(topology_);
-  for (const auto& t : graph.transistors()) {
-    if (t.input == pin) ++devices;
-  }
-  return tech.c_gate * static_cast<double>(devices);
+  return tech.c_gate *
+         static_cast<double>(pin_devices_[static_cast<std::size_t>(pin)]);
 }
 
 int Cell::instance_count() const {

@@ -55,6 +55,10 @@ private:
   std::vector<std::string> pin_names_;
   gategraph::GateTopology topology_;
   boolfn::TruthTable function_;
+  /// Transistors gated by each pin in the canonical topology, index =
+  /// pin (reordering moves devices, never adds them), so
+  /// pin_capacitance needs no graph build per call.
+  std::vector<int> pin_devices_;
 };
 
 /// Capacitance of one node from its diffusion terminal count; the output

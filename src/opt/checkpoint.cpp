@@ -17,8 +17,9 @@ namespace {
 /// Journal payload schema version (independent of the report schema:
 /// entries are internal to one tr_opt version's checkpoint directory).
 /// Version 2: budgeted catalog runs record "engine": "catalog" (version
-/// 1 journals recorded them as "reference").
-constexpr std::int64_t kEntryVersion = 2;
+/// 1 journals recorded them as "reference"). Version 3: anneal runs whose
+/// greedy seed rejected nothing for delay record zero move statistics.
+constexpr std::int64_t kEntryVersion = 3;
 
 constexpr const char* kManifestName = "manifest.jnl";
 

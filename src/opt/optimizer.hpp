@@ -144,7 +144,10 @@ struct GateDecision {
   bool changed = false;         ///< configuration was rewritten
 };
 
-/// Search statistics of an annealing run (OptimizeReport::anneal).
+/// Search statistics of an annealing run (OptimizeReport::anneal). The
+/// four move counters are 0 when the greedy seed rejected nothing for
+/// delay: the seed is then optimal and no move is drawn (DESIGN.md
+/// Sec. 14.4).
 struct AnnealStats {
   std::uint64_t iterations = 0;       ///< moves drawn (incl. null moves)
   std::uint64_t accepted = 0;         ///< moves kept (incl. uphill)

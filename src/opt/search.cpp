@@ -474,12 +474,18 @@ OptimizeReport anneal_optimize(Netlist& netlist,
 
   AnnealStats stats;
   std::vector<int> best = scorer.configs();
-  double best_energy = sign * scorer.total_power();
-  std::vector<double> required;
-  if (scorer.has_delay_budget()) required = scorer.required_times();
-  int accepted_since_refresh = 0;
 
-  if (t0 > 0.0 && gates > 0 && total_iters > 1) {
+  // When greedy rejected nothing for delay, every gate already holds its
+  // strict per-gate optimum among the configurations a move may visit
+  // (moves obey the same instance restriction), and the topological-order
+  // sum the final commit compares is monotone in each term: no move
+  // sequence can beat the seed, so the search is skipped and its stats
+  // stay zero.
+  if (seed.rejected_delay > 0 && t0 > 0.0 && gates > 0 && total_iters > 1) {
+    double best_energy = sign * scorer.total_power();
+    std::vector<double> required;
+    if (scorer.has_delay_budget()) required = scorer.required_times();
+    int accepted_since_refresh = 0;
     tr::Rng rng(params.seed);
     const double alpha =
         std::pow(params.final_temp_ratio,

@@ -169,6 +169,10 @@ namespace detail {
                       std::to_string(loc.line()) + " (" +
                       loc.function_name() + ")");
 }
+
+/// The failure path of `require`: throws tr::Error(message). Out of line
+/// so the passing path inlines to one branch.
+[[noreturn]] void require_fail(const std::string& message);
 }  // namespace detail
 
 /// Checks an internal invariant; throws InternalError when violated.
@@ -180,10 +184,16 @@ namespace detail {
     }                                                                    \
   } while (false)
 
-/// Throws tr::Error with the given message if `cond` is false. Used for
-/// validating user-supplied data at API boundaries.
-inline void require(bool cond, const std::string& message) {
-  if (!cond) throw Error(message);
-}
+/// require(cond, message): throws tr::Error(message) with code
+/// invalid_argument when `cond` is false. Guards both input validation
+/// and hot accessors (Netlist::gate, CellLibrary::cell, ...), so it is a
+/// macro: `cond` is evaluated first, and `message` is evaluated (and
+/// its string built) only when `cond` is false — a passing check costs
+/// one branch and never allocates. `message` must not carry side
+/// effects the caller relies on.
+#define require(cond, message)                          \
+  do {                                                  \
+    if (!(cond)) ::tr::detail::require_fail(message);   \
+  } while (false)
 
 }  // namespace tr

@@ -141,24 +141,29 @@ TEST_F(CheckpointTest, ResumeRefusesAMismatchedManifest) {
 
 TEST_F(CheckpointTest, ResumeRefusesAJournalOfTheOldVersion) {
   // Version 1 journals recorded budgeted catalog runs as "engine":
-  // "reference"; resuming one would mix both labels in one report.
+  // "reference"; version 2 journals recorded full anneal move stats where
+  // greedy rejected nothing for delay (now all zero). Resuming either
+  // would mix both encodings in one report.
   BatchOptions budgeted;
   budgeted.opt.max_circuit_delay_increase = 0.05;
   const std::string current = render_manifest(kSpecs, 'A', 1, budgeted);
-  const std::string needle = "\"journal_version\": 2";
+  const std::string needle = "\"journal_version\": 3";
   const std::size_t at = current.find(needle);
   ASSERT_NE(at, std::string::npos) << current;
-  std::string old = current;
-  old.replace(at, needle.size(), "\"journal_version\": 1");
-  fs::create_directories(dir_);
-  util::journal::write_entry(dir_, "manifest.jnl", old);
-  try {
-    CheckpointJournal resumed(dir_, true, current);
-    FAIL() << "expected tr::Error";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::invalid_argument);
-    EXPECT_NE(std::string(e.what()).find("manifest mismatch"),
-              std::string::npos);
+  for (const char* old_version : {"1", "2"}) {
+    std::string old = current;
+    old.replace(at, needle.size(),
+                std::string("\"journal_version\": ") + old_version);
+    fs::create_directories(dir_);
+    util::journal::write_entry(dir_, "manifest.jnl", old);
+    try {
+      CheckpointJournal resumed(dir_, true, current);
+      FAIL() << "expected tr::Error for version " << old_version;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::invalid_argument);
+      EXPECT_NE(std::string(e.what()).find("manifest mismatch"),
+                std::string::npos);
+    }
   }
 }
 

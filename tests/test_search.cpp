@@ -11,17 +11,21 @@
 //    bit-identical to optimize() with the reference/catalog engines,
 //    budgets or not;
 //  * the annealing engine — dominates greedy at equal delay budgets,
-//    honours the ceilings, is deterministic per seed (byte-identical
-//    batch JSON, jobs=1 vs jobs=4), and cancels all-or-nothing;
+//    honours the ceilings, returns the greedy report untouched when
+//    greedy rejected nothing for delay, is deterministic per seed
+//    (byte-identical batch JSON, jobs=1 vs jobs=4), and cancels
+//    all-or-nothing;
 //  * the delay-budget option sweep — std::optional semantics (unset vs
 //    a legitimate 0.0), validation, and the engine/threads recording
 //    that replaced the batch-report inference bug.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "benchgen/classic.hpp"
@@ -358,10 +362,85 @@ TEST(AnnealEngine, UnconstrainedMatchesPerGateOptimum) {
   EXPECT_EQ(anneal_report.model_power_after, greedy_report.model_power_after);
 }
 
+TEST(AnnealEngine, SkipsTheSearchExactlyWhenGreedyRejectedNothingForDelay) {
+  // A greedy seed with no delay rejection holds the per-gate optimum the
+  // moves could at best tie: anneal must return the catalog engine's
+  // report without drawing a move. Once greedy rejects a configuration
+  // for delay, the full move budget runs.
+  const Tech tech;
+  int skipped = 0;
+  int searched = 0;
+  for (const std::string& name : benchgen::classic_names()) {
+    const Netlist original = mapper::map_network(
+        netlist::read_blif_logic_string(benchgen::classic_blif(name), name),
+        lib());
+    const auto stats = scenario_a(original, 7);
+    for (const std::optional<double> budget :
+         {std::optional<double>{}, std::optional<double>{0.05},
+          std::optional<double>{0.0}}) {
+      OptimizeOptions catalog;
+      catalog.max_circuit_delay_increase = budget;
+      Netlist catalog_nl = original;
+      const OptimizeReport expected =
+          optimize(catalog_nl, stats, tech, catalog);
+
+      OptimizeOptions anneal = catalog;
+      anneal.engine = Engine::anneal;
+      Netlist anneal_nl = original;
+      const OptimizeReport report = optimize(anneal_nl, stats, tech, anneal);
+      ASSERT_TRUE(report.anneal.has_value());
+      EXPECT_EQ(report.configs_rejected_by_delay,
+                expected.configs_rejected_by_delay);
+
+      if (expected.configs_rejected_by_delay > 0) {
+        ++searched;
+        const std::uint64_t budgeted_moves = std::max<std::uint64_t>(
+            static_cast<std::uint64_t>(anneal.anneal.min_iterations),
+            static_cast<std::uint64_t>(anneal.anneal.iterations_per_gate) *
+                static_cast<std::uint64_t>(original.gate_count()));
+        EXPECT_EQ(report.anneal->iterations, budgeted_moves) << name;
+        continue;
+      }
+      ++skipped;
+      EXPECT_EQ(report.anneal->iterations, 0u) << name;
+      EXPECT_EQ(report.anneal->accepted, 0u) << name;
+      EXPECT_EQ(report.anneal->uphill_accepted, 0u) << name;
+      EXPECT_EQ(report.anneal->rejected_delay, 0u) << name;
+      EXPECT_EQ(report.model_power_before, expected.model_power_before);
+      EXPECT_EQ(report.model_power_after, expected.model_power_after);
+      EXPECT_EQ(report.gates_changed, expected.gates_changed);
+      ASSERT_EQ(report.decisions.size(), expected.decisions.size());
+      for (std::size_t i = 0; i < expected.decisions.size(); ++i) {
+        const GateDecision& a = report.decisions[i];
+        const GateDecision& b = expected.decisions[i];
+        EXPECT_EQ(a.gate, b.gate);
+        EXPECT_EQ(a.config_count, b.config_count);
+        EXPECT_EQ(a.chosen_power, b.chosen_power);
+        EXPECT_EQ(a.best_power, b.best_power);
+        EXPECT_EQ(a.worst_power, b.worst_power);
+        EXPECT_EQ(a.original_power, b.original_power);
+        EXPECT_EQ(a.changed, b.changed);
+      }
+      for (GateId g = 0; g < original.gate_count(); ++g) {
+        EXPECT_EQ(anneal_nl.gate(g).config.canonical_key(),
+                  catalog_nl.gate(g).config.canonical_key())
+            << name << " gate " << g;
+      }
+    }
+  }
+  EXPECT_GT(skipped, 0);
+  EXPECT_GT(searched, 0);
+}
+
 TEST(AnnealEngine, DeterministicPerSeedAndByteStableAcrossJobs) {
   // Same seed => byte-identical batch JSON, whatever the circuit-level
-  // parallelism; a different anneal seed is a different (valid) search.
-  const auto batch_json = [&](int jobs, std::uint64_t anneal_seed) {
+  // parallelism; a different anneal seed is a different (valid) search
+  // wherever a search runs, i.e. some greedy seed rejected a
+  // configuration for delay (no classic circuit does at 0.05, all do at
+  // 0.01).
+  int seeds_rejecting = 0;
+  const auto batch_json = [&](int jobs, std::uint64_t anneal_seed,
+                              double budget) {
     const CellLibrary library = CellLibrary::standard();
     const Tech tech;
     std::vector<BatchCircuit> batch;
@@ -374,10 +453,14 @@ TEST(AnnealEngine, DeterministicPerSeedAndByteStableAcrossJobs) {
     BatchOptions options;
     options.jobs = jobs;
     options.opt.engine = Engine::anneal;
-    options.opt.max_circuit_delay_increase = 0.05;
+    options.opt.max_circuit_delay_increase = budget;
     options.opt.anneal.seed = anneal_seed;
     const BatchReport report =
         BatchOptimizer(library, tech, options).run(batch);
+    seeds_rejecting = 0;
+    for (const BatchCircuitResult& circuit : report.circuits) {
+      if (circuit.report.configs_rejected_by_delay > 0) ++seeds_rejecting;
+    }
     BatchJsonOptions json;
     json.include_timing = false;
     json.include_cache_stats = false;
@@ -385,11 +468,14 @@ TEST(AnnealEngine, DeterministicPerSeedAndByteStableAcrossJobs) {
     write_batch_json(batch, report, options, out, json);
     return out.str();
   };
-  const std::string serial = batch_json(1, 1);
-  EXPECT_EQ(serial, batch_json(1, 1));
-  EXPECT_EQ(serial, batch_json(4, 1));
-  EXPECT_NE(serial, batch_json(1, 2));
+  const std::string serial = batch_json(1, 1, 0.05);
+  EXPECT_EQ(serial, batch_json(1, 1, 0.05));
+  EXPECT_EQ(serial, batch_json(4, 1, 0.05));
   EXPECT_NE(serial.find("\"engine\": \"anneal\""), std::string::npos);
+
+  const std::string searched = batch_json(1, 1, 0.01);
+  ASSERT_GT(seeds_rejecting, 0);
+  EXPECT_NE(searched, batch_json(1, 2, 0.01));
 }
 
 TEST(AnnealEngine, CancellationLeavesNetlistUntouched) {

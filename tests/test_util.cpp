@@ -7,6 +7,9 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <typeinfo>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/json.hpp"
@@ -215,6 +218,35 @@ TEST(Error, RequireCarriesMessage) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("specific message"),
               std::string::npos);
+  }
+}
+
+TEST(Error, RequireEvaluatesItsMessageOnlyOnFailureAfterTheCondition) {
+  // A message that reads state the condition produced (errno after a
+  // failed fcntl, say) must see it, and a passing check must not pay for
+  // building the message at all.
+  std::vector<std::string> trace;
+  const auto cond = [&](bool value) {
+    trace.push_back("cond");
+    return value;
+  };
+  const auto message = [&] {
+    trace.push_back("message");
+    return "value " + std::to_string(42) + " out of range";
+  };
+  for (int i = 0; i < 3; ++i) require(cond(true), message());
+  EXPECT_EQ(trace, std::vector<std::string>(3, "cond"));
+
+  trace.clear();
+  try {
+    require(cond(false), message());
+    FAIL() << "require did not throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(trace, (std::vector<std::string>{"cond", "message"}));
+    EXPECT_TRUE(typeid(e) == typeid(Error));
+    EXPECT_EQ(e.code(), ErrorCode::invalid_argument);
+    EXPECT_STREQ(e.what(), "value 42 out of range");
+    EXPECT_TRUE(e.sites().empty());
   }
 }
 
