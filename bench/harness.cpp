@@ -4,7 +4,6 @@
 
 #include "delay/elmore.hpp"
 #include "opt/optimizer.hpp"
-#include "power/circuit_power.hpp"
 #include "sim/monte_carlo.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
@@ -24,16 +23,18 @@ PipelineRow run_pipeline(
   // best transistor reordering ... the other one the worst one").
   netlist::Netlist best = original;
   netlist::Netlist worst = original;
-  opt::optimize(best, pi_stats, tech);
+  const opt::OptimizeReport best_report = opt::optimize(best, pi_stats, tech);
   opt::OptimizeOptions maximize;
   maximize.objective = opt::Objective::maximize_power;
-  opt::optimize(worst, pi_stats, tech, maximize);
+  const opt::OptimizeReport worst_report =
+      opt::optimize(worst, pi_stats, tech, maximize);
 
-  // Column M: model power reduction, best vs worst.
-  const auto activity = power::propagate_activity(original, pi_stats);
-  const double model_best = power::circuit_power(best, activity, tech).total();
+  // Column M: model power reduction, best vs worst, from the optimizer's
+  // own scores of the committed configurations.
+  const double model_best =
+      opt::committed_power(best_report, best, pi_stats, tech);
   const double model_worst =
-      power::circuit_power(worst, activity, tech).total();
+      opt::committed_power(worst_report, worst, pi_stats, tech);
   row.model_reduction = percent_reduction(model_worst, model_best);
 
   // Column S: replicated switch-level simulation. Replicate k of the

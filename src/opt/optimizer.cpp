@@ -329,4 +329,17 @@ OptimizeReport optimize(Netlist& netlist,
   });
 }
 
+double committed_power(const OptimizeReport& report, const Netlist& netlist,
+                       const std::map<NetId, SignalStats>& pi_stats,
+                       const celllib::Tech& tech) {
+  require(report.decisions.size() ==
+              static_cast<std::size_t>(netlist.gate_count()),
+          "committed_power: report does not match the netlist");
+  double gate_power = 0.0;
+  for (const GateDecision& decision : report.decisions) {
+    gate_power += decision.chosen_power;
+  }
+  return gate_power + power::pi_load_power(netlist, pi_stats, tech);
+}
+
 }  // namespace tr::opt

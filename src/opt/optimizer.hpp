@@ -235,4 +235,16 @@ OptimizeReport optimize(netlist::Netlist& netlist,
                         const celllib::Tech& tech,
                         const OptimizeOptions& options = {});
 
+/// Model power [W] of the configurations `report` committed to `netlist`,
+/// from the optimizer's own scores: the decisions' chosen powers summed in
+/// GateId order plus power::pi_load_power. These are circuit_power's
+/// addends in circuit_power's order, so the result is bit-identical to
+/// circuit_power(netlist, propagate_activity(netlist, pi_stats), tech,
+/// model).total() for the model the optimizer scored with — without
+/// rebuilding a gate graph or re-propagating the activity.
+double committed_power(
+    const OptimizeReport& report, const netlist::Netlist& netlist,
+    const std::map<netlist::NetId, boolfn::SignalStats>& pi_stats,
+    const celllib::Tech& tech);
+
 }  // namespace tr::opt

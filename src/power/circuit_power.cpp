@@ -9,6 +9,32 @@ using netlist::GateId;
 using netlist::NetId;
 using netlist::Netlist;
 
+namespace {
+
+/// Primary-input nets: their load (fanout pin capacitance + wire) is
+/// charged by the external driver; the 1/2 C V^2 D estimate is exact for
+/// a net whose density is known. Configuration-independent, but included
+/// so model and switch-level totals describe the same circuit. Summed in
+/// primary_inputs() order, so every caller gets the same bits.
+template <class DensityOf>
+double sum_pi_load_power(const Netlist& netlist, const celllib::Tech& tech,
+                         DensityOf density_of) {
+  double power = 0.0;
+  for (NetId id : netlist.primary_inputs()) {
+    const netlist::Net& net = netlist.net(id);
+    double cap = tech.c_wire;
+    for (const auto& [fan_gate, pin] : net.fanouts) {
+      cap += netlist.library()
+                 .cell(netlist.gate(fan_gate).cell)
+                 .pin_capacitance(tech, pin);
+    }
+    power += tech.energy_per_transition(cap) * density_of(id);
+  }
+  return power;
+}
+
+}  // namespace
+
 CircuitActivity propagate_activity(
     const Netlist& netlist,
     const std::map<NetId, SignalStats>& pi_stats) {
@@ -66,23 +92,22 @@ CircuitPower circuit_power(const Netlist& netlist,
     result.gate_power += gp.total_power;
   }
 
-  // Primary-input nets: their load (fanout pin capacitance + wire) is
-  // charged by the external driver; the 1/2 C V^2 D estimate is exact for
-  // a net whose density is known. Configuration-independent, but included
-  // so model and switch-level totals describe the same circuit.
-  for (NetId id : netlist.primary_inputs()) {
-    const netlist::Net& net = netlist.net(id);
-    double cap = tech.c_wire;
-    for (const auto& [fan_gate, pin] : net.fanouts) {
-      cap += netlist.library()
-                 .cell(netlist.gate(fan_gate).cell)
-                 .pin_capacitance(tech, pin);
-    }
-    result.pi_load_power +=
-        tech.energy_per_transition(cap) *
-        activity.net_stats[static_cast<std::size_t>(id)].density;
-  }
+  result.pi_load_power = sum_pi_load_power(netlist, tech, [&](NetId id) {
+    return activity.net_stats[static_cast<std::size_t>(id)].density;
+  });
   return result;
+}
+
+double pi_load_power(const Netlist& netlist,
+                     const std::map<NetId, SignalStats>& pi_stats,
+                     const celllib::Tech& tech) {
+  return sum_pi_load_power(netlist, tech, [&](NetId id) {
+    const auto it = pi_stats.find(id);
+    require(it != pi_stats.end(),
+            "pi_load_power: missing statistics for primary input '" +
+                netlist.net(id).name + "'");
+    return it->second.density;
+  });
 }
 
 }  // namespace tr::power

@@ -52,4 +52,13 @@ CircuitPower circuit_power(const netlist::Netlist& netlist,
                            const celllib::Tech& tech,
                            ModelKind kind = ModelKind::extended);
 
+/// Switching power of the primary-input net loads (fanout pin
+/// capacitance + wire) at the PIs' densities: CircuitPower::pi_load_power
+/// without the activity propagation or any gate evaluation.
+/// Configuration-independent. `pi_stats` must cover every primary input.
+double pi_load_power(
+    const netlist::Netlist& netlist,
+    const std::map<netlist::NetId, boolfn::SignalStats>& pi_stats,
+    const celllib::Tech& tech);
+
 }  // namespace tr::power

@@ -1,7 +1,9 @@
 #include "sim/sim_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <limits>
 #include <queue>
 
 #include "celllib/cell.hpp"
@@ -72,12 +74,13 @@ void stamp_diagnostics(SimResult& result, double elapsed,
 
 }  // namespace
 
+static_assert(sizeof(ReplicationScratch::GateMut) == 24,
+              "node_bits must fit in GateMut's tail padding");
+
 std::size_t ReplicationScratch::high_water_bytes() const noexcept {
   return net_value.capacity() * sizeof(std::uint8_t) +
          net_obs.capacity() * sizeof(NetObs) +
-         gate_mut.capacity() * sizeof(GateMut) +
-         internal_state.capacity() * sizeof(std::uint8_t) +
-         scheduler.allocated_bytes();
+         gate_mut.capacity() * sizeof(GateMut) + scheduler.allocated_bytes();
 }
 
 /// One reference replication: the pre-rewrite event loop, retained
@@ -334,8 +337,8 @@ private:
 /// RNG draw order, same floating-point accumulation order as the
 /// reference Replication above — pinned bit-identical by the
 /// differential suite — but running entirely on the engine's flat
-/// structure-of-arrays tables, the scratch's byte arenas and the indexed
-/// event scheduler.
+/// structure-of-arrays tables, the scratch's per-gate records (internal
+/// nodes as one bit mask per gate) and the indexed event scheduler.
 struct SimEngine::FastRun {
   FastRun(const SimEngine& engine, ReplicationScratch& scratch,
           SimResult& out, std::uint64_t seed)
@@ -380,11 +383,9 @@ private:
     const std::size_t nets = static_cast<std::size_t>(e.netlist_.net_count());
     const std::size_t gates =
         static_cast<std::size_t>(e.netlist_.gate_count());
-    const std::size_t nodes = e.flat_node_.size();
     s.net_value.assign(nets, 0);
     s.net_obs.assign(nets, ReplicationScratch::NetObs{});
     s.gate_mut.resize(gates);  // every field is (re)written below
-    s.internal_state.resize(nodes);
 
     result.energy = 0.0;
     result.power = 0.0;
@@ -416,14 +417,12 @@ private:
           minterm |= std::uint64_t{1} << (i - in_begin);
         }
       }
-      s.gate_mut[gi] =
-          ReplicationScratch::GateMut{minterm, 0, 0, 0};
+      // Undriven nodes start discharged; any driven node takes its rail
+      // value: exactly the charge mask of the initial minterm.
+      s.gate_mut[gi] = ReplicationScratch::GateMut{
+          minterm, 0, 0, 0, e.flat_mask_[hot.mask_begin + minterm].h};
       s.net_value[static_cast<std::size_t>(hot.out_net)] =
           static_cast<std::uint8_t>((hot.out_fn >> minterm) & 1u);
-      for (std::uint32_t j = hot.node_begin; j < hot.node_end; ++j) {
-        s.internal_state[j] =
-            static_cast<std::uint8_t>((e.flat_node_[j].h_fn >> minterm) & 1u);
-      }
     }
 
     s.scheduler.reset(e.scheduler_width_,
@@ -497,24 +496,23 @@ private:
       const std::uint64_t minterm =
           (mut.input_minterm ^= std::uint64_t{1} << (arc.gate_pin & 7u));
 
-      // Internal stack nodes: charge on H, discharge on G, retain else.
-      for (std::uint32_t j = hot.node_begin; j < hot.node_end; ++j) {
-        const NodeHot& node = e.flat_node_[j];
-        const std::uint8_t h =
-            static_cast<std::uint8_t>((node.h_fn >> minterm) & 1u);
-        const std::uint8_t g =
-            static_cast<std::uint8_t>((node.g_fn >> minterm) & 1u);
-        TR_ASSERT((h & g) == 0);  // no rail-to-rail short
-        const std::uint8_t next =
-            static_cast<std::uint8_t>(h | (s.internal_state[j] & (g ^ 1u)));
-        if (next != s.internal_state[j]) {
-          s.internal_state[j] = next;
-          if (now >= warmup) {
-            const double energy = node.energy;
-            result.internal_node_energy += energy;
-            result.energy += energy;
-            result.per_gate_energy[gi] += energy;
-          }
+      // Internal stack nodes, all at once: charge on H, discharge on G,
+      // retain else. The energy walk visits the flipped nodes in
+      // ascending index order, the reference loop's accumulation order.
+      const MaskRow row = e.flat_mask_[hot.mask_begin + minterm];
+      TR_ASSERT((row.h & row.g) == 0);  // no rail-to-rail short
+      const NodeMask before = mut.node_bits;
+      const NodeMask next =
+          static_cast<NodeMask>(row.h | (before & ~row.g));
+      mut.node_bits = next;
+      if (now >= warmup) {
+        for (unsigned flips = static_cast<unsigned>(next ^ before);
+             flips != 0; flips &= flips - 1) {
+          const double energy =
+              e.flat_node_[hot.node_begin + std::countr_zero(flips)].energy;
+          result.internal_node_energy += energy;
+          result.energy += energy;
+          result.per_gate_energy[gi] += energy;
         }
       }
 
@@ -693,7 +691,9 @@ void SimEngine::build_flat() {
   fast_ok_ = netlist_.gate_count() < (1 << 28) &&
              netlist_.net_count() < (1 << 28);
   for (const GateTables& tables : gates_) {
-    if (tables.output_fn.var_count() > 6 || tables.level > EventScheduler::max_level) {
+    if (tables.output_fn.var_count() > 6 ||
+        tables.h_fns.size() > std::numeric_limits<NodeMask>::digits ||
+        tables.level > EventScheduler::max_level) {
       fast_ok_ = false;
     }
   }
@@ -702,6 +702,7 @@ void SimEngine::build_flat() {
   flat_gate_.resize(gates);
   flat_in_off_.assign(gates + 1, 0);
   std::uint32_t node_count = 0;
+  std::uint32_t mask_rows = 0;
   for (std::size_t gi = 0; gi < gates; ++gi) {
     const GateTables& tables = gates_[gi];
     const netlist::GateInst& inst = netlist_.gate(static_cast<GateId>(gi));
@@ -714,21 +715,32 @@ void SimEngine::build_flat() {
     node_count += static_cast<std::uint32_t>(tables.h_fns.size());
     hot.node_end = node_count;
     hot.out_net = inst.output;
+    hot.mask_begin = mask_rows;
+    mask_rows += std::uint32_t{1} << inst.inputs.size();
     hot.out_energy = tech_.energy_per_transition(tables.output_cap);
     flat_in_off_[gi + 1] =
         flat_in_off_[gi] + static_cast<std::uint32_t>(inst.inputs.size());
   }
 
   flat_node_.resize(node_count);
+  flat_mask_.resize(mask_rows);
   flat_in_net_.resize(flat_in_off_[gates]);
   for (std::size_t gi = 0; gi < gates; ++gi) {
     const GateTables& tables = gates_[gi];
     const netlist::GateInst& inst = netlist_.gate(static_cast<GateId>(gi));
+    const GateHot& hot = flat_gate_[gi];
+    const std::uint64_t minterms = std::uint64_t{1} << inst.inputs.size();
     for (std::size_t k = 0; k < tables.h_fns.size(); ++k) {
-      NodeHot& node = flat_node_[flat_gate_[gi].node_begin + k];
+      NodeHot& node = flat_node_[hot.node_begin + k];
       node.h_fn = tables.h_fns[k].words()[0];
       node.g_fn = tables.g_fns[k].words()[0];
       node.energy = tech_.energy_per_transition(tables.internal_caps[k]);
+      // Transpose the node's path functions into the per-minterm masks.
+      for (std::uint64_t m = 0; m < minterms; ++m) {
+        MaskRow& row = flat_mask_[hot.mask_begin + m];
+        row.h |= static_cast<NodeMask>(((node.h_fn >> m) & 1u) << k);
+        row.g |= static_cast<NodeMask>(((node.g_fn >> m) & 1u) << k);
+      }
     }
     for (std::size_t pin = 0; pin < inst.inputs.size(); ++pin) {
       flat_in_net_[flat_in_off_[gi] + pin] = inst.inputs[pin];

@@ -9,11 +9,12 @@
 // single-word truth tables, CSR fanout arcs with per-arc delays,
 // per-node transition energies. After that the engine is immutable;
 // `run(seed)` executes one independent replication whose mutable state
-// lives in a ReplicationScratch (byte-valued net state, one contiguous
-// internal-node arena, the indexed event scheduler), so any number of
-// replications may run concurrently on a thread pool, the result of a
-// replication is a pure function of its seed, and a scratch reused
-// across replications makes steady-state replication allocation-free.
+// lives in a ReplicationScratch (byte-valued net state, per-gate records
+// carrying the internal-node bits, the indexed event scheduler), so any
+// number of replications may run concurrently on a thread pool, the
+// result of a replication is a pure function of its seed, and a scratch
+// reused across replications makes steady-state replication
+// allocation-free.
 //
 // The pre-rewrite event loop (std::priority_queue of padded events,
 // std::vector<bool> state, per-gate node vectors) is retained verbatim
@@ -36,6 +37,11 @@
 
 namespace tr::sim {
 
+/// One gate's internal nodes as a bit set in the scalar hot path: bit k
+/// is internal node k. A gate with more nodes than bits runs the
+/// reference loop instead (SimEngine::fast_path_available).
+using NodeMask = std::uint16_t;
+
 /// Reusable per-replication state: flat byte/word arenas for every piece
 /// of mutable simulation state plus the event scheduler. A scratch is
 /// owned by exactly one thread at a time (monte_carlo hands each worker
@@ -51,6 +57,9 @@ struct ReplicationScratch {
     std::uint64_t pending_seq = 0;  ///< seq of the valid pending commit
     std::uint8_t pending_flag = 0;
     std::uint8_t pending_value = 0;
+    /// Internal-node state, bit k set = node k charged. Fits in the
+    /// tail padding, so the record stays 24 bytes.
+    NodeMask node_bits = 0;
   };
 
   /// Per-net observation accumulators, one record per net so a net
@@ -67,7 +76,6 @@ struct ReplicationScratch {
   std::vector<std::uint8_t> net_value;       ///< per net (byte, not bit)
   std::vector<NetObs> net_obs;               ///< per net
   std::vector<GateMut> gate_mut;             ///< per gate
-  std::vector<std::uint8_t> internal_state;  ///< node arena, CSR by gate
   EventScheduler scheduler;
 
   /// Bytes of owned storage (capacities, not sizes) — the high-water
@@ -113,9 +121,10 @@ public:
   /// Bit-identical to run(seed) in every non-diagnostic SimResult field.
   SimResult run_reference(std::uint64_t seed) const;
 
-  /// False when the circuit exceeds the packed-event encoding (a gate
-  /// wider than 6 inputs, more than 2^16 levels); run(seed) then
-  /// executes the reference loop, preserving results at reference speed.
+  /// False when the circuit exceeds the hot-path encodings (a gate wider
+  /// than 6 inputs or with more internal nodes than NodeMask has bits,
+  /// more than 2^16 levels); run(seed) then executes the reference loop,
+  /// preserving results at reference speed.
   bool fast_path_available() const noexcept { return fast_ok_; }
 
   /// The delay model actually in effect: options().delay_model with
@@ -174,15 +183,23 @@ private:
   struct GateHot {
     std::uint64_t out_fn = 0;       ///< output function, minterm-indexed
     std::uint64_t level_order = 0;  ///< net level << EventScheduler::seq_bits
-    std::uint32_t node_begin = 0;   ///< internal-node arena range
+    std::uint32_t node_begin = 0;   ///< internal-node range in flat_node_
     std::uint32_t node_end = 0;
     std::int32_t out_net = -1;
+    std::uint32_t mask_begin = 0;   ///< minterm-0 row in flat_mask_
     double out_energy = 0.0;  ///< J per output transition
   };
   struct NodeHot {
     std::uint64_t h_fn = 0;  ///< charge (pull-up path) function
     std::uint64_t g_fn = 0;  ///< discharge (pull-down path) function
     double energy = 0.0;     ///< J per node transition
+  };
+  /// The gate's nodes under one input minterm: bit k of `h` (`g`) is
+  /// NodeHot::h_fn (g_fn) of node k at that minterm, i.e. node k is
+  /// charged (discharged) whatever its previous state.
+  struct MaskRow {
+    NodeMask h = 0;
+    NodeMask g = 0;
   };
   struct Arc {
     double delay = 0.0;            ///< Elmore pin delay of (gate, pin) [s]
@@ -192,6 +209,7 @@ private:
   bool fast_ok_ = false;
   std::vector<GateHot> flat_gate_;           ///< per gate
   std::vector<NodeHot> flat_node_;           ///< per node (CSR via GateHot)
+  std::vector<MaskRow> flat_mask_;           ///< per gate, 2^pins rows
   std::vector<std::uint32_t> flat_in_off_;   ///< [gates+1] input CSR
   std::vector<std::int32_t> flat_in_net_;    ///< per input pin
   std::vector<std::uint32_t> flat_arc_off_;  ///< [nets+1] fanout CSR

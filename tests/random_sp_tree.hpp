@@ -47,11 +47,15 @@ inline gategraph::SpNode random_sp_tree(std::vector<int> inputs, Rng& rng,
                 : SpNode::parallel(std::move(children));
 }
 
-/// A library of random series-parallel cells with 2..5 inputs each.
-inline celllib::CellLibrary random_sp_library(Rng& rng, int cell_count) {
+/// A library of random series-parallel cells with 2..max_inputs inputs
+/// each (random_sp_netlist takes up to 6: it starts from 6 primary
+/// inputs).
+inline celllib::CellLibrary random_sp_library(Rng& rng, int cell_count,
+                                              int max_inputs = 5) {
   celllib::CellLibrary lib;
   for (int c = 0; c < cell_count; ++c) {
-    const int n = 2 + static_cast<int>(rng.next_below(4));
+    const int n = 2 + static_cast<int>(rng.next_below(
+                          static_cast<std::uint64_t>(max_inputs - 1)));
     std::vector<int> inputs;
     std::vector<std::string> pins;
     for (int i = 0; i < n; ++i) {

@@ -12,6 +12,7 @@
 #include "benchgen/generators.hpp"
 #include "benchgen/suite.hpp"
 #include "celllib/library.hpp"
+#include "opt/circuit_load.hpp"
 #include "opt/optimizer.hpp"
 #include "opt/scenario.hpp"
 #include "random_sp_tree.hpp"
@@ -241,6 +242,33 @@ TEST(OptParity, DelayBudgetCatalogMatchesReference) {
   }
   // The matrix must exercise the budget for real, not just pass through.
   EXPECT_GT(rejected_delay, 0);
+}
+
+TEST(OptParity, CommittedPowerIsCircuitPowerBitForBit) {
+  // committed_power sums the optimizer's own scores; circuit_power
+  // rebuilds every gate graph and re-propagates the activity. Same
+  // addends in the same order, so the totals must agree to the bit.
+  const Tech tech;
+  for (const char* suite : {"classic", "table3"}) {
+    std::uint64_t seed = 0x5EED;
+    for (const std::string& spec : suite_circuit_specs(suite)) {
+      const Netlist original = load_circuit_spec(spec, lib());
+      const auto stats = scenario_a(original, ++seed);
+      const auto activity = power::propagate_activity(original, stats);
+      for (Objective objective :
+           {Objective::minimize_power, Objective::maximize_power}) {
+        SCOPED_TRACE(testing::Message()
+                     << spec << " objective=" << static_cast<int>(objective));
+        Netlist committed = original;
+        OptimizeOptions options;
+        options.objective = objective;
+        const OptimizeReport report =
+            optimize(committed, stats, tech, options);
+        EXPECT_EQ(committed_power(report, committed, stats, tech),
+                  power::circuit_power(committed, activity, tech).total());
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <string>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "benchgen/suite.hpp"
 #include "celllib/cell.hpp"
 #include "celllib/library.hpp"
+#include "gategraph/gate_graph.hpp"
 #include "opt/scenario.hpp"
 #include "random_sp_tree.hpp"
 #include "sim/monte_carlo.hpp"
@@ -141,6 +144,67 @@ TEST(SimDifferential, RandomSpTreeNetlists) {
     opt.warmup_time = 1e-5;
     opt.use_gate_delays = (trial % 2) == 0;
     differential_check(nl, stats, opt, {11 + static_cast<std::uint64_t>(trial)});
+  }
+
+  // Up to 6-input cells, the widest gates the hot path takes. A read-once
+  // gate has pins - 1 internal nodes, so these reach 5 nodes per mask.
+  Rng wide_rng(20261018);
+  const CellLibrary wide_lib = testutil::random_sp_library(wide_rng, 6, 6);
+  const Netlist wide = testutil::random_sp_netlist(wide_lib, wide_rng, 12);
+  int max_nodes = 0;
+  for (netlist::GateId g = 0; g < wide.gate_count(); ++g) {
+    const int nodes =
+        gategraph::GateGraph(wide.gate(g).config).internal_node_count();
+    EXPECT_EQ(nodes, static_cast<int>(wide.gate(g).inputs.size()) - 1);
+    max_nodes = std::max(max_nodes, nodes);
+  }
+  ASSERT_EQ(max_nodes, 5);
+  std::map<NetId, SignalStats> stats;
+  for (NetId id : wide.primary_inputs()) {
+    stats[id] = {wide_rng.uniform(0.2, 0.8), wide_rng.uniform(1e5, 4e5)};
+  }
+  SimOptions opt;
+  opt.measure_time = 3e-4;
+  opt.warmup_time = 1e-5;
+  for (bool delays : {true, false}) {
+    SCOPED_TRACE(testing::Message() << "wide, delays=" << delays);
+    opt.use_gate_delays = delays;
+    differential_check(wide, stats, opt, {21, 22});
+  }
+}
+
+TEST(SimDifferential, RepeatedInputCellsUpToAndBeyondTheMaskWidth) {
+  // Only cells whose inputs drive several transistors reach the high
+  // node-mask bits: 12 leaves over 6 pins give 11 internal nodes (fast
+  // path); 18 give 17, more than NodeMask holds, so that engine must run
+  // the reference loop.
+  const Tech tech;
+  for (int leaves : {12, 18}) {
+    SCOPED_TRACE(testing::Message() << "leaves " << leaves);
+    Rng rng(1);
+    std::vector<int> inputs;
+    for (int i = 0; i < leaves; ++i) inputs.push_back(i % 6);
+    CellLibrary cells;
+    cells.add(celllib::Cell("rep", {"p0", "p1", "p2", "p3", "p4", "p5"},
+                            testutil::random_sp_tree(inputs, rng)));
+    ASSERT_EQ(gategraph::GateGraph(cells.cell("rep").topology())
+                  .internal_node_count(),
+              leaves - 1);
+    const Netlist nl = testutil::random_sp_netlist(cells, rng, 6);
+    std::map<NetId, SignalStats> stats;
+    for (NetId id : nl.primary_inputs()) {
+      stats[id] = {rng.uniform(0.2, 0.8), rng.uniform(1e5, 4e5)};
+    }
+    SimOptions opt;
+    opt.measure_time = 3e-4;
+    opt.warmup_time = 1e-5;
+    if (leaves - 1 <= std::numeric_limits<NodeMask>::digits) {
+      differential_check(nl, stats, opt, {31, 32});
+      continue;
+    }
+    const SimEngine engine(nl, stats, tech, opt);
+    EXPECT_FALSE(engine.fast_path_available());
+    expect_results_identical(engine.run(31), engine.run_reference(31));
   }
 }
 

@@ -29,10 +29,12 @@ std::uint64_t random_fn(Rng& rng, int n) {
 
 TEST(WordEval, FullMaskMatchesMintermCount) {
   for (int n = 0; n <= 6; ++n) {
-    const std::uint64_t minterms = std::uint64_t{1} << (std::uint64_t{1} << n);
     if (n == 6) {
       EXPECT_EQ(word_full_mask(6), ~std::uint64_t{0});
     } else {
+      // 2^(2^n) fits in a word only below n = 6.
+      const std::uint64_t minterms = std::uint64_t{1}
+                                     << (std::uint64_t{1} << n);
       EXPECT_EQ(word_full_mask(n), minterms - 1) << "n=" << n;
     }
   }
