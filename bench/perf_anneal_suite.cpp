@@ -47,6 +47,8 @@
 #include "delay/elmore.hpp"
 #include "opt/optimizer.hpp"
 #include "opt/scenario.hpp"
+#include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -90,22 +92,29 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   int iters = 256;
   double max_ms = 10000.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    } else if (arg.rfind("--iters=", 0) == 0) {
-      iters = std::max(1, std::atoi(arg.c_str() + 8));
-    } else if (arg.rfind("--max-ms-per-circuit=", 0) == 0) {
-      max_ms = std::strtod(arg.c_str() + 21, nullptr);
-    } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      return 2;
+  // A value that is not a number is a usage error, never a silent 0.
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--quick") {
+        quick = true;
+      } else if (arg.rfind("--out=", 0) == 0) {
+        out_path = arg.substr(6);
+      } else if (arg.rfind("--seed=", 0) == 0) {
+        seed = parse_u64("--seed", arg.substr(7));
+      } else if (arg.rfind("--iters=", 0) == 0) {
+        iters = static_cast<int>(
+            std::max(1LL, parse_int("--iters", arg.substr(8))));
+      } else if (arg.rfind("--max-ms-per-circuit=", 0) == 0) {
+        max_ms = parse_double("--max-ms-per-circuit", arg.substr(21));
+      } else {
+        std::cerr << "unknown argument: " << arg << "\n";
+        return 2;
+      }
     }
+  } catch (const Error& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
   }
 
   const celllib::CellLibrary library = celllib::CellLibrary::standard();

@@ -48,6 +48,8 @@
 #include "opt/batch.hpp"
 #include "opt/optimizer.hpp"
 #include "opt/scenario.hpp"
+#include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -108,35 +110,43 @@ int main(int argc, char** argv) {
   double min_speedup = -1.0;
   int reference = -1;  // -1 = default (follows --quick)
   opt::OptimizeOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--reference") {
-      reference = 1;
-    } else if (arg == "--no-reference") {
-      reference = 0;
-    } else if (arg.rfind("--min-speedup=", 0) == 0) {
-      min_speedup = std::strtod(arg.c_str() + 14, nullptr);
-    } else if (arg.rfind("--delay-budget=", 0) == 0) {
-      const double budget = std::strtod(arg.c_str() + 15, nullptr);
-      if (!std::isfinite(budget) || budget < 0.0) {
-        std::cerr << "--delay-budget must be finite and >= 0\n";
+  // A value that is not a number is a usage error: a lenient parse
+  // would read --min-speedup=x as 0 and silently turn the gate off.
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--quick") {
+        quick = true;
+      } else if (arg == "--reference") {
+        reference = 1;
+      } else if (arg == "--no-reference") {
+        reference = 0;
+      } else if (arg.rfind("--min-speedup=", 0) == 0) {
+        min_speedup = parse_double("--min-speedup", arg.substr(14));
+      } else if (arg.rfind("--delay-budget=", 0) == 0) {
+        const double budget = parse_double("--delay-budget", arg.substr(15));
+        if (budget < 0.0) {
+          std::cerr << "--delay-budget must be finite and >= 0\n";
+          return 2;
+        }
+        options.max_circuit_delay_increase = budget;
+      } else if (arg.rfind("--reps=", 0) == 0) {
+        reps = static_cast<int>(
+            std::max(1LL, parse_int("--reps", arg.substr(7))));
+      } else if (arg.rfind("--out=", 0) == 0) {
+        out_path = arg.substr(6);
+      } else if (arg.rfind("--baseline=", 0) == 0) {
+        baseline_path = arg.substr(11);
+      } else if (arg.rfind("--max-regression=", 0) == 0) {
+        max_regression = parse_double("--max-regression", arg.substr(17));
+      } else {
+        std::cerr << "unknown argument: " << arg << "\n";
         return 2;
       }
-      options.max_circuit_delay_increase = budget;
-    } else if (arg.rfind("--reps=", 0) == 0) {
-      reps = std::max(1, std::atoi(arg.c_str() + 7));
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = arg.substr(11);
-    } else if (arg.rfind("--max-regression=", 0) == 0) {
-      max_regression = std::strtod(arg.c_str() + 17, nullptr);
-    } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      return 2;
     }
+  } catch (const Error& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
   }
 
   const bool measure_reference = reference == -1 ? quick : reference == 1;

@@ -54,7 +54,9 @@
 #include "opt/scenario.hpp"
 #include "sim/monte_carlo.hpp"
 #include "util/json.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -139,28 +141,36 @@ int main(int argc, char** argv) {
   double max_regression = 2.0;
   double min_speedup = -1.0;
   double min_bp_speedup = -1.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--no-reference") {
-      measure_reference = false;
-    } else if (arg.rfind("--min-speedup=", 0) == 0) {
-      min_speedup = std::strtod(arg.c_str() + 14, nullptr);
-    } else if (arg.rfind("--min-bp-speedup=", 0) == 0) {
-      min_bp_speedup = std::strtod(arg.c_str() + 17, nullptr);
-    } else if (arg.rfind("--reps=", 0) == 0) {
-      reps = std::max(2, std::atoi(arg.c_str() + 7));
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = arg.substr(11);
-    } else if (arg.rfind("--max-regression=", 0) == 0) {
-      max_regression = std::strtod(arg.c_str() + 17, nullptr);
-    } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      return 2;
+  // A value that is not a number is a usage error: a lenient parse
+  // would read --min-speedup=x as 0 and silently turn the gate off.
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--quick") {
+        quick = true;
+      } else if (arg == "--no-reference") {
+        measure_reference = false;
+      } else if (arg.rfind("--min-speedup=", 0) == 0) {
+        min_speedup = parse_double("--min-speedup", arg.substr(14));
+      } else if (arg.rfind("--min-bp-speedup=", 0) == 0) {
+        min_bp_speedup = parse_double("--min-bp-speedup", arg.substr(17));
+      } else if (arg.rfind("--reps=", 0) == 0) {
+        reps = static_cast<int>(
+            std::max(2LL, parse_int("--reps", arg.substr(7))));
+      } else if (arg.rfind("--out=", 0) == 0) {
+        out_path = arg.substr(6);
+      } else if (arg.rfind("--baseline=", 0) == 0) {
+        baseline_path = arg.substr(11);
+      } else if (arg.rfind("--max-regression=", 0) == 0) {
+        max_regression = parse_double("--max-regression", arg.substr(17));
+      } else {
+        std::cerr << "unknown argument: " << arg << "\n";
+        return 2;
+      }
     }
+  } catch (const Error& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
   }
 
   const celllib::CellLibrary library = celllib::CellLibrary::standard();

@@ -12,15 +12,6 @@ namespace {
 
 using util::JsonWriter;
 
-const char* objective_name(Objective objective) {
-  return objective == Objective::minimize_power ? "minimize_power"
-                                                : "maximize_power";
-}
-
-const char* model_name(power::ModelKind model) {
-  return model == power::ModelKind::extended ? "extended" : "output_only";
-}
-
 void write_error_object(JsonWriter& w, const CircuitError& error) {
   w.begin_object();
   w.key("code");

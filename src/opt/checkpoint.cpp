@@ -5,8 +5,10 @@
 #include <sstream>
 
 #include "gategraph/sp_parse.hpp"
+#include "opt/run_options.hpp"
 #include "util/journal.hpp"
 #include "util/json.hpp"
+#include "util/strings.hpp"
 
 namespace tr::opt::checkpoint {
 
@@ -19,36 +21,11 @@ namespace {
 /// Version 2: budgeted catalog runs record "engine": "catalog" (version
 /// 1 journals recorded them as "reference"). Version 3: anneal runs whose
 /// greedy seed rejected nothing for delay record zero move statistics.
-constexpr std::int64_t kEntryVersion = 3;
+/// Version 4: the manifest lists the options from the run-option table
+/// (opt/run_options), in its order and request vocabulary.
+constexpr std::int64_t kEntryVersion = 4;
 
 constexpr const char* kManifestName = "manifest.jnl";
-
-std::string sanitize(const std::string& name) {
-  std::string out;
-  for (const char c : name) {
-    const bool safe = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '-' || c == '_' ||
-                      c == '.';
-    out += safe ? c : '_';
-  }
-  return out.empty() ? "circuit" : out;
-}
-
-const char* objective_name(Objective objective) {
-  return objective == Objective::minimize_power ? "minimize_power"
-                                                : "maximize_power";
-}
-
-const char* model_name(power::ModelKind model) {
-  return model == power::ModelKind::extended ? "extended" : "output_only";
-}
-
-Engine engine_from_name(const std::string& name) {
-  if (name == "catalog") return Engine::catalog;
-  if (name == "reference") return Engine::reference;
-  if (name == "anneal") return Engine::anneal;
-  throw Error("checkpoint: unknown engine '" + name + "'", ErrorCode::parse);
-}
 
 /// Required-field lookup with a checkpoint-flavoured error.
 const util::JsonValue& field(const util::JsonValue& doc, const char* key) {
@@ -66,7 +43,8 @@ const util::JsonValue& field(const util::JsonValue& doc, const char* key) {
 std::string entry_name(std::size_t index, const std::string& circuit_name) {
   std::string number = std::to_string(index);
   if (number.size() < 4) number.insert(0, 4 - number.size(), '0');
-  return "circuit-" + number + "-" + sanitize(circuit_name) + ".jnl";
+  return "circuit-" + number + "-" + sanitize_filename(circuit_name) +
+         ".jnl";
 }
 
 std::string render_manifest(const std::vector<std::string>& circuit_specs,
@@ -79,37 +57,12 @@ std::string render_manifest(const std::vector<std::string>& circuit_specs,
   w.value(kEntryVersion);
   w.key("generator");
   w.value("tr_opt_checkpoint");
-  w.key("circuits");
-  w.begin_array();
-  for (const std::string& spec : circuit_specs) w.value(spec);
-  w.end_array();
-  w.key("scenario");
-  w.value(std::string(1, scenario));
-  w.key("seed");
-  w.value(seed);
-  w.key("objective");
-  w.value(objective_name(options.opt.objective));
-  w.key("model");
-  w.value(model_name(options.opt.model));
-  w.key("engine");
-  w.value(engine_name(options.opt.engine));
-  w.key("anneal_seed");
-  w.value(options.opt.anneal.seed);
-  w.key("anneal_iters");
-  w.value(options.opt.anneal.iterations_per_gate);
-  w.key("delay_budget");
-  if (options.opt.max_circuit_delay_increase) {
-    w.value(*options.opt.max_circuit_delay_increase);
-  } else {
-    w.null_value();
-  }
-  w.key("restrict_instance");
-  w.value(options.opt.restrict_to_instance);
-  // threads_per_circuit never changes result numbers, but it IS
-  // rendered (the per-circuit "threads" field), so it shapes bytes.
-  // jobs does not — resuming under a different --jobs is the point.
-  w.key("threads_per_circuit");
-  w.value(options.threads_per_circuit);
+  RunRequest request;
+  request.circuits = circuit_specs;
+  request.scenario = scenario;
+  request.seed = seed;
+  request.batch = options;
+  write_request_fields(w, request, /*output_shaping_only=*/true);
   w.end_object();
   return out.str();
 }

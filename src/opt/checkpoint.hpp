@@ -21,11 +21,12 @@
 // re-applied to a deterministically reloaded netlist.
 //
 // Compatibility is guarded by a manifest: a fingerprint of everything
-// that shapes the deterministic output (circuit specs, scenario, seed,
-// objective/model/engine/anneal/budget/restriction) written on the
-// fresh run and byte-compared on resume — resuming under different
-// options is an error, never a silently mixed report. jobs/threads and
-// deadlines are deliberately excluded: they never change result bytes.
+// that shapes the deterministic output — the circuit specs plus every
+// shapes_output row of the run-option table (opt/run_options.hpp) —
+// written on the fresh run and byte-compared on resume; resuming under
+// different options is an error, never a silently mixed report. jobs
+// and deadlines are deliberately excluded: they never change result
+// bytes.
 //
 // Damage tolerance: a torn/truncated/bit-flipped/wrong-checksum entry
 // (the crash window, disk rot) is detected by the journal frame,

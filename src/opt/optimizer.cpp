@@ -24,6 +24,24 @@ const char* engine_name(Engine engine) noexcept {
   return "unknown";
 }
 
+Engine engine_from_name(std::string_view name) {
+  for (const Engine engine :
+       {Engine::catalog, Engine::reference, Engine::anneal}) {
+    if (name == engine_name(engine)) return engine;
+  }
+  throw Error("unknown engine '" + std::string(name) + "'",
+              ErrorCode::parse);
+}
+
+const char* objective_name(Objective objective) noexcept {
+  return objective == Objective::minimize_power ? "minimize_power"
+                                                : "maximize_power";
+}
+
+const char* model_name(power::ModelKind model) noexcept {
+  return model == power::ModelKind::extended ? "extended" : "output_only";
+}
+
 using boolfn::SignalStats;
 using celllib::CatalogConfig;
 using celllib::CatalogNode;

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -60,6 +61,15 @@ enum class Engine {
 
 /// Stable lowercase engine names — the JSON/report encoding of Engine.
 const char* engine_name(Engine engine) noexcept;
+
+/// The inverse of engine_name; throws tr::Error (ErrorCode::parse) on
+/// any other name (a journal entry naming an unknown engine is damage).
+Engine engine_from_name(std::string_view name);
+
+/// Report encodings: "minimize_power" / "maximize_power" and
+/// "extended" / "output_only".
+const char* objective_name(Objective objective) noexcept;
+const char* model_name(power::ModelKind model) noexcept;
 
 /// Knobs of the annealing engine (used when engine == Engine::anneal).
 /// All defaults are deterministic; the search length is a pure function

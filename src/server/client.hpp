@@ -26,9 +26,22 @@ struct ClientResult {
 /// Connects to host:port; throws tr::Error on failure. Returns the fd.
 int connect_tcp(const std::string& host, int port);
 
-/// Sends one request document and blocks until the terminal frame.
-/// `on_progress` (optional) sees each progress payload as it arrives.
-/// Throws tr::Error on connect/framing failures or a premature close.
+/// connect_tcp with a bound: a non-blocking connect that must complete
+/// within timeout_ms (< 0 = blocking). Throws ErrorCode::disconnect on
+/// timeout or refusal.
+int connect_tcp_timeout(const std::string& host, int port, double timeout_ms);
+
+/// One attempt: sends one request document and blocks until the
+/// terminal frame; `on_progress` (optional) sees each progress payload.
+/// `timeout_ms` bounds the connect and *each* frame read (< 0 = none).
+/// Throws tr::Error on connect/framing failures, a timeout or a
+/// premature close (ErrorCode::disconnect for transport failures).
+ClientResult run_request_once(
+    const std::string& host, int port, const std::string& request_json,
+    double timeout_ms,
+    const std::function<void(const std::string&)>& on_progress = {});
+
+/// run_request_once without a timeout.
 ClientResult run_request(
     const std::string& host, int port, const std::string& request_json,
     const std::function<void(const std::string&)>& on_progress = {});

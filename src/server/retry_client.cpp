@@ -1,16 +1,8 @@
 #include "server/retry_client.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
+#include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <thread>
 
 #include "util/error.hpp"
@@ -20,68 +12,6 @@
 namespace tr::server {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-struct FdGuard {
-  int fd;
-  ~FdGuard() {
-    if (fd >= 0) ::close(fd);
-  }
-};
-
-[[noreturn]] void throw_disconnect(const std::string& message) {
-  throw Error("client: " + message, ErrorCode::disconnect);
-}
-
-/// One bounded attempt: connect, send, stream until the terminal frame.
-/// Each read slice is bounded by timeout_ms via read_frame's interrupt
-/// predicate — per *read*, not per attempt, so long optimizations that
-/// keep streaming progress never trip it.
-ClientResult attempt_once(
-    const std::string& host, int port, const std::string& request_json,
-    double timeout_ms,
-    const std::function<void(const std::string&)>& on_progress) {
-  const FdGuard guard{connect_tcp_timeout(host, port, timeout_ms)};
-  if (!write_frame(guard.fd, kFrameRequest, request_json)) {
-    throw_disconnect("request send failed");
-  }
-
-  ClientResult result;
-  for (;;) {
-    Frame frame;
-    std::function<bool()> interrupted;
-    if (timeout_ms >= 0.0) {
-      const Clock::time_point deadline =
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double, std::milli>(
-                                 timeout_ms));
-      interrupted = [deadline] { return Clock::now() >= deadline; };
-    }
-    const ReadResult r =
-        read_frame(guard.fd, frame, kDefaultMaxFrameBytes, interrupted);
-    if (r == ReadResult::interrupted) {
-      throw_disconnect("no frame within " +
-                       std::to_string(static_cast<long long>(timeout_ms)) +
-                       " ms (daemon hung or unreachable)");
-    }
-    if (r != ReadResult::ok) {
-      throw_disconnect(read_result_message(r, frame, kDefaultMaxFrameBytes));
-    }
-    if (frame.type == kFrameProgress) {
-      if (on_progress) on_progress(frame.payload);
-      result.progress.push_back(std::move(frame.payload));
-      continue;
-    }
-    if (frame.type == kFrameResponse || frame.type == kFrameError) {
-      result.type = frame.type;
-      result.payload = std::move(frame.payload);
-      return result;
-    }
-    throw Error(std::string("client: unexpected frame type '") + frame.type +
-                "'");
-  }
-}
 
 /// True when an error-frame payload says the failure is worth retrying
 /// ("retryable": true, schema v4). A payload that cannot be parsed or
@@ -99,61 +29,6 @@ bool error_frame_retryable(const std::string& payload) {
 
 }  // namespace
 
-int connect_tcp_timeout(const std::string& host, int port,
-                        double timeout_ms) {
-  if (timeout_ms < 0.0) return connect_tcp(host, port);
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  require(fd >= 0, "client: socket: " + std::string(std::strerror(errno)));
-  FdGuard guard{fd};
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    throw Error("client: bad address '" + host + "'",
-                ErrorCode::invalid_argument);
-  }
-
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  require(flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
-          "client: fcntl: " + std::string(std::strerror(errno)));
-
-  const std::string endpoint = host + ":" + std::to_string(port);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    if (errno != EINPROGRESS) {
-      throw_disconnect("cannot connect to " + endpoint + ": " +
-                       std::strerror(errno));
-    }
-    pollfd pfd{fd, POLLOUT, 0};
-    const int ready =
-        ::poll(&pfd, 1, static_cast<int>(std::ceil(timeout_ms)));
-    if (ready == 0) {
-      throw_disconnect("connect to " + endpoint + " timed out after " +
-                       std::to_string(static_cast<long long>(timeout_ms)) +
-                       " ms");
-    }
-    if (ready < 0) {
-      throw_disconnect("poll: " + std::string(std::strerror(errno)));
-    }
-    int error = 0;
-    socklen_t len = sizeof(error);
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &error, &len) != 0 ||
-        error != 0) {
-      throw_disconnect("cannot connect to " + endpoint + ": " +
-                       std::strerror(error != 0 ? error : errno));
-    }
-  }
-
-  // Back to blocking: the framed reads below poll with their own
-  // deadline predicate and expect blocking semantics between slices.
-  require(::fcntl(fd, F_SETFL, flags) == 0,
-          "client: fcntl: " + std::string(std::strerror(errno)));
-  guard.fd = -1;  // ownership passes to the caller
-  return fd;
-}
-
 ClientResult run_request_with_retry(
     const std::string& host, int port, const std::string& request_json,
     const RetryPolicy& policy,
@@ -164,8 +39,8 @@ ClientResult run_request_with_retry(
     std::string why;
     try {
       const ClientResult result =
-          attempt_once(host, port, request_json, policy.timeout_ms,
-                       on_progress);
+          run_request_once(host, port, request_json, policy.timeout_ms,
+                           on_progress);
       if (result.type != kFrameError || attempt >= policy.max_retries ||
           !error_frame_retryable(result.payload)) {
         return result;

@@ -1,9 +1,9 @@
 #pragma once
 // Resilient client for the optimization daemon (DESIGN.md Sec. 15.4).
 //
-// run_request (client.hpp) is deliberately dumb: one connection, one
-// attempt, block forever. This wrapper adds the three things a client
-// surviving daemon restarts needs:
+// run_request_once (client.hpp) is deliberately dumb: one connection,
+// one attempt. This wrapper adds the three things a client surviving
+// daemon restarts needs:
 //
 //   * timeouts — a per-attempt bound on connect and on each read, so a
 //     hung daemon surfaces as a retryable failure instead of a stuck
@@ -56,7 +56,7 @@ struct RetryPolicy {
       on_retry;
 };
 
-/// run_request with the policy applied. Returns the terminal result —
+/// run_request_once with the policy applied. Returns the terminal result —
 /// possibly an error frame, when it is non-retryable or retries are
 /// exhausted. Throws tr::Error when every attempt failed at the
 /// transport level (the last failure propagates).
@@ -64,10 +64,5 @@ ClientResult run_request_with_retry(
     const std::string& host, int port, const std::string& request_json,
     const RetryPolicy& policy,
     const std::function<void(const std::string&)>& on_progress = {});
-
-/// connect_tcp with a bound: a non-blocking connect that must complete
-/// within timeout_ms (< 0 = blocking, identical to connect_tcp).
-/// Throws ErrorCode::disconnect on timeout or refusal.
-int connect_tcp_timeout(const std::string& host, int port, double timeout_ms);
 
 }  // namespace tr::server

@@ -1,5 +1,6 @@
 #include "server/service.hpp"
 
+#include <optional>
 #include <ostream>
 #include <sstream>
 
@@ -66,25 +67,32 @@ util::CancellationToken OptimizeService::submit(
   // the queue — a client retrying a lost response never re-runs the
   // work. Checked after parsing so a malformed duplicate still counts
   // as invalid. No progress frames are replayed: the terminal response
-  // is the contract, progress is best-effort observability.
+  // is the contract, progress is best-effort observability. The ID
+  // names one request: reused for a different one, it is refused rather
+  // than answered with the other request's response.
+  Job job;
   if (!request.request_id.empty()) {
-    std::string replay;
-    bool hit = false;
+    job.canonical = opt::render_request(request);
+    std::optional<Replay> hit;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      if (const std::string* stored = find_replay_locked(request.request_id)) {
-        replay = *stored;
-        hit = true;
-        ++counters_.replayed;
+      if (const Replay* stored = find_replay_locked(request.request_id)) {
+        hit = *stored;
+        ++(hit->request == job.canonical ? counters_.replayed
+                                         : counters_.invalid);
       }
     }
-    if (hit) {
-      sink->on_response(replay);
-      return {};
+    if (hit && hit->request == job.canonical) {
+      sink->on_response(hit->response);
+    } else if (hit) {
+      sink->on_error(render_error(make_error(
+          ErrorCode::invalid_argument, "server",
+          "request: request_id '" + request.request_id +
+              "' already answered a different request")));
     }
+    if (hit) return {};
   }
 
-  Job job;
   job.cancel = request.deadline_ms
                    ? util::CancellationToken::with_deadline_ms(
                          *request.deadline_ms)
@@ -181,9 +189,7 @@ void OptimizeService::execute(Job& job) noexcept {
     const std::string payload = out.str();
     // Remember before sending: if the client dies between our send and
     // its read, its retry must find the entry already present.
-    if (!job.request.request_id.empty()) {
-      remember_response(job.request.request_id, payload);
-    }
+    if (!job.request.request_id.empty()) remember_response(job, payload);
     job.sink->on_response(payload);
     classify_outcome(report);
   } catch (...) {
@@ -205,7 +211,7 @@ void OptimizeService::execute(Job& job) noexcept {
   }
 }
 
-const std::string* OptimizeService::find_replay_locked(
+const OptimizeService::Replay* OptimizeService::find_replay_locked(
     const std::string& request_id) {
   const auto it = replay_.find(request_id);
   if (it == replay_.end()) return nullptr;
@@ -216,15 +222,16 @@ const std::string* OptimizeService::find_replay_locked(
   return &it->second;
 }
 
-void OptimizeService::remember_response(const std::string& request_id,
+void OptimizeService::remember_response(const Job& job,
                                         const std::string& payload) {
+  const std::string& request_id = job.request.request_id;
   const std::lock_guard<std::mutex> lock(mutex_);
   if (config_.replay_capacity == 0) return;
   const auto it = replay_.find(request_id);
   if (it != replay_.end()) {
-    // A concurrent duplicate completed first; responses are pure
-    // functions of the request bytes, so the payloads agree — just
-    // refresh recency.
+    // A concurrent request with the same ID completed first; keep its
+    // entry (for the same request the payloads agree — responses are
+    // pure functions of the request) and just refresh recency.
     replay_order_.remove(request_id);
     replay_order_.push_back(request_id);
     return;
@@ -233,7 +240,7 @@ void OptimizeService::remember_response(const std::string& request_id,
     replay_.erase(replay_order_.front());
     replay_order_.pop_front();
   }
-  replay_.emplace(request_id, payload);
+  replay_.emplace(request_id, Replay{job.canonical, payload});
   replay_order_.push_back(request_id);
 }
 

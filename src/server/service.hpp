@@ -64,6 +64,8 @@ struct ServiceConfig {
   /// evicted; 0 disables idempotent replay entirely. Only completed
   /// *response* payloads are remembered — error frames re-execute, so a
   /// transient failure is never replayed forever (DESIGN.md Sec. 15.4).
+  /// Each entry keeps the canonical rendering of its request, and a
+  /// reused ID naming a different request is refused, not replayed.
   std::size_t replay_capacity = 64;
 };
 
@@ -119,8 +121,16 @@ public:
 private:
   struct Job {
     OptimizeRequest request;
+    /// opt::render_request of `request`; kept only with a request_id.
+    std::string canonical;
     std::shared_ptr<Sink> sink;
     util::CancellationToken cancel;
+  };
+
+  /// One replay-cache entry: the request it answered and the response.
+  struct Replay {
+    std::string request;
+    std::string response;
   };
 
   void executor_loop();
@@ -128,11 +138,10 @@ private:
   void classify_outcome(const opt::BatchReport& report);
   /// Looks up a completed request_id; moves a hit to most-recent.
   /// Returns nullptr on miss (pointer valid only under mutex_).
-  const std::string* find_replay_locked(const std::string& request_id);
+  const Replay* find_replay_locked(const std::string& request_id);
   /// Remembers a completed response, evicting the least recent beyond
   /// replay_capacity. Thread-safe.
-  void remember_response(const std::string& request_id,
-                         const std::string& payload);
+  void remember_response(const Job& job, const std::string& payload);
 
   ServiceConfig config_;
   celllib::CellLibrary library_;
@@ -145,9 +154,10 @@ private:
   /// map's smallest key is the highest priority, FIFO within a level.
   std::map<std::pair<int, std::uint64_t>, Job> queue_;
   std::uint64_t next_sequence_ = 0;
-  /// Idempotency replay cache: completed request_id -> response bytes,
-  /// most-recently-used at the back of replay_order_. Guarded by mutex_.
-  std::map<std::string, std::string> replay_;
+  /// Idempotency replay cache: completed request_id -> its request and
+  /// response bytes, most-recently-used at the back of replay_order_.
+  /// Guarded by mutex_.
+  std::map<std::string, Replay> replay_;
   std::list<std::string> replay_order_;
   int running_ = 0;
   bool draining_ = false;  ///< no further admissions

@@ -1,7 +1,12 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <type_traits>
+
+#include "util/error.hpp"
 
 namespace tr {
 
@@ -50,6 +55,50 @@ std::string join(const std::vector<std::string>& items, std::string_view sep) {
     out += items[i];
   }
   return out;
+}
+
+std::string sanitize_filename(std::string_view name) {
+  std::string out;
+  for (const char c : name) {
+    const bool safe = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                      (c >= '0' && c <= '9') || c == '-' || c == '_' ||
+                      c == '.';
+    out += safe ? c : '_';
+  }
+  return out.empty() ? "circuit" : out;
+}
+
+namespace {
+
+/// Parses all of `text` as a T, or throws the usage-style error.
+template <typename T>
+T parse_whole(std::string_view what, std::string_view text,
+              const char* expected) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  bool ok = !text.empty() && ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    throw Error(std::string(what) + " expects " + expected + ", got '" +
+                    std::string(text) + "'",
+                ErrorCode::invalid_argument);
+  }
+  return value;
+}
+
+}  // namespace
+
+long long parse_int(std::string_view what, std::string_view text) {
+  return parse_whole<long long>(what, text, "an integer");
+}
+
+std::uint64_t parse_u64(std::string_view what, std::string_view text) {
+  return parse_whole<std::uint64_t>(what, text, "a non-negative integer");
+}
+
+double parse_double(std::string_view what, std::string_view text) {
+  return parse_whole<double>(what, text, "a finite number");
 }
 
 }  // namespace tr

@@ -1,6 +1,8 @@
 #pragma once
-// Small string helpers shared by the BLIF parser and report printers.
+// Small string helpers shared by the BLIF parser, report printers and
+// command-line parsers.
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,5 +27,18 @@ std::string format_fixed(double value, int digits);
 
 /// Joins the items with `sep` between them.
 std::string join(const std::vector<std::string>& items, std::string_view sep);
+
+/// `name` with every character outside [A-Za-z0-9._-] replaced by '_'
+/// ("circuit" when empty): a file name that cannot escape its directory.
+std::string sanitize_filename(std::string_view name);
+
+/// Strict numeric parsing of a command-line value: text that is not
+/// entirely a number of the kind (no leading space, no "nan"/"inf")
+/// throws tr::Error (invalid_argument, "<what> expects ..., got
+/// '<text>'") — never a silent 0 that quietly enables a zero delay
+/// budget or turns a CI speedup gate off.
+long long parse_int(std::string_view what, std::string_view text);
+std::uint64_t parse_u64(std::string_view what, std::string_view text);
+double parse_double(std::string_view what, std::string_view text);
 
 }  // namespace tr

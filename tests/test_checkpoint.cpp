@@ -9,6 +9,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,8 +21,10 @@
 #include "opt/batch_report.hpp"
 #include "opt/checkpoint.hpp"
 #include "opt/circuit_load.hpp"
+#include "opt/run_options.hpp"
 #include "util/error.hpp"
 #include "util/journal.hpp"
+#include "util/json.hpp"
 
 namespace tr::opt::checkpoint {
 namespace {
@@ -69,39 +73,55 @@ protected:
 };
 
 TEST_F(CheckpointTest, ManifestPinsEverythingThatShapesBytes) {
-  BatchOptions base;
-  const std::string manifest = render_manifest(kSpecs, 'A', 1, base);
-  EXPECT_EQ(manifest, render_manifest(kSpecs, 'A', 1, base));
+  const std::string manifest = render_manifest(kSpecs, 'A', 1, {});
+  EXPECT_EQ(manifest, render_manifest(kSpecs, 'A', 1, {}));
+  EXPECT_NE(manifest, render_manifest({"c17"}, 'A', 1, {}));
 
-  // Every knob that changes result bytes must change the fingerprint.
-  EXPECT_NE(manifest, render_manifest({"c17"}, 'A', 1, base));
-  EXPECT_NE(manifest, render_manifest(kSpecs, 'B', 1, base));
-  EXPECT_NE(manifest, render_manifest(kSpecs, 'A', 2, base));
-  BatchOptions changed = base;
-  changed.opt.objective = Objective::maximize_power;
-  EXPECT_NE(manifest, render_manifest(kSpecs, 'A', 1, changed));
-  changed = base;
-  changed.opt.engine = Engine::anneal;
-  EXPECT_NE(manifest, render_manifest(kSpecs, 'A', 1, changed));
-  changed = base;
-  changed.opt.anneal.seed = 99;
-  EXPECT_NE(manifest, render_manifest(kSpecs, 'A', 1, changed));
-  changed = base;
-  changed.opt.max_circuit_delay_increase = 0.1;
-  EXPECT_NE(manifest, render_manifest(kSpecs, 'A', 1, changed));
-  changed = base;
-  changed.opt.restrict_to_instance = true;
-  EXPECT_NE(manifest, render_manifest(kSpecs, 'A', 1, changed));
-  // threads_per_circuit shapes the rendered "threads" field, so it is
-  // pinned too...
-  changed = base;
-  changed.threads_per_circuit = 4;
-  EXPECT_NE(manifest, render_manifest(kSpecs, 'A', 1, changed));
-  // ...but jobs never changes bytes — resuming under a different --jobs
-  // is the whole point of crash recovery on a different machine.
-  changed = base;
-  changed.jobs = 7;
-  EXPECT_EQ(manifest, render_manifest(kSpecs, 'A', 1, changed));
+  // One non-default value per run option that shapes result bytes. The
+  // list must name exactly the table's shapes_output rows, so an option
+  // added without a case here fails. threads_per_circuit never changes
+  // result numbers, but it is rendered (the per-circuit "threads"
+  // field), so it is pinned too.
+  const std::map<std::string, std::string> shaping = {
+      {"scenario", R"("B")"},         {"seed", "2"},
+      {"threads_per_circuit", "4"},   {"objective", R"("maximize")"},
+      {"model", R"("output_only")"},  {"delay_budget", "0.1"},
+      {"engine", R"("anneal")"},      {"anneal_seed", "99"},
+      {"anneal_iters", "3"},          {"restrict_instance", "true"},
+  };
+  // The rest never change bytes — resuming under a different --jobs is
+  // the whole point of crash recovery on a different machine.
+  const std::map<std::string, std::string> other = {
+      {"jobs", "7"},          {"keep_going", "false"},
+      {"deadline_ms", "5"},   {"priority", "3"},
+      {"gate_configs", "false"}, {"request_id", R"("k")"},
+  };
+  std::set<std::string> shaping_rows;
+  std::set<std::string> other_rows;
+  for (const RunOption& row : run_options()) {
+    (row.shapes_output ? shaping_rows : other_rows)
+        .insert(std::string(row.key));
+  }
+  std::set<std::string> shaping_keys;
+  for (const auto& [key, sample] : shaping) shaping_keys.insert(key);
+  std::set<std::string> other_keys;
+  for (const auto& [key, sample] : other) other_keys.insert(key);
+  EXPECT_EQ(shaping_keys, shaping_rows);
+  EXPECT_EQ(other_keys, other_rows);
+
+  const auto manifest_with = [](const std::string& key,
+                                const std::string& sample) {
+    RunRequest request;
+    EXPECT_TRUE(apply_field(request, key, util::json_parse(sample)));
+    return render_manifest(kSpecs, request.scenario, request.seed,
+                           request.batch);
+  };
+  for (const auto& [key, sample] : shaping) {
+    EXPECT_NE(manifest, manifest_with(key, sample)) << key;
+  }
+  for (const auto& [key, sample] : other) {
+    EXPECT_EQ(manifest, manifest_with(key, sample)) << key;
+  }
 }
 
 TEST_F(CheckpointTest, EntryNamesAreOrderedAndSanitized) {
@@ -142,15 +162,16 @@ TEST_F(CheckpointTest, ResumeRefusesAMismatchedManifest) {
 TEST_F(CheckpointTest, ResumeRefusesAJournalOfTheOldVersion) {
   // Version 1 journals recorded budgeted catalog runs as "engine":
   // "reference"; version 2 journals recorded full anneal move stats where
-  // greedy rejected nothing for delay (now all zero). Resuming either
-  // would mix both encodings in one report.
+  // greedy rejected nothing for delay (now all zero); version 3
+  // manifests listed the options by hand, in the report vocabulary.
+  // Resuming any of them would mix two encodings in one report.
   BatchOptions budgeted;
   budgeted.opt.max_circuit_delay_increase = 0.05;
   const std::string current = render_manifest(kSpecs, 'A', 1, budgeted);
-  const std::string needle = "\"journal_version\": 3";
+  const std::string needle = "\"journal_version\": 4";
   const std::size_t at = current.find(needle);
   ASSERT_NE(at, std::string::npos) << current;
-  for (const char* old_version : {"1", "2"}) {
+  for (const char* old_version : {"1", "2", "3"}) {
     std::string old = current;
     old.replace(at, needle.size(),
                 std::string("\"journal_version\": ") + old_version);

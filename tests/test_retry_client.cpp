@@ -264,6 +264,36 @@ TEST(RetryClient, DistinctIdsExecuteIndependently) {
   EXPECT_EQ(metrics.replayed, 0u);
 }
 
+TEST(RetryClient, ReusedIdForADifferentRequestIsRefused) {
+  TestServer daemon;
+  const ClientResult first = run_request(
+      "127.0.0.1", daemon.port(),
+      R"({"circuits": ["c17"], "request_id": "k"})");
+  ASSERT_EQ(first.type, kFrameResponse);
+  // The same key on another request must not be answered with c17's
+  // response: it is refused, and nothing runs.
+  const ClientResult other = run_request(
+      "127.0.0.1", daemon.port(),
+      R"({"circuits": ["alu2"], "request_id": "k"})");
+  ASSERT_EQ(other.type, kFrameError);
+  const JsonValue doc = util::json_parse(other.payload);
+  EXPECT_EQ(doc.find("code")->as_string("code"), "invalid_argument");
+  EXPECT_EQ(doc.find("message")->as_string("message"),
+            "request: request_id 'k' already answered a different request");
+  // The original request, spelled differently, still replays.
+  const ClientResult again = run_request(
+      "127.0.0.1", daemon.port(),
+      R"({"request_id": "k", "circuits": ["c17"], "seed": 1})");
+  ASSERT_EQ(again.type, kFrameResponse);
+  EXPECT_EQ(again.payload, first.payload);
+
+  daemon.drain();
+  const ServiceMetrics metrics = daemon.metrics();
+  EXPECT_EQ(metrics.ok, 1u);
+  EXPECT_EQ(metrics.replayed, 1u);
+  EXPECT_EQ(metrics.invalid, 1u);
+}
+
 TEST(RetryClient, ErrorResponsesAreNotReplayed) {
   TestServer daemon;
   ClientResult failed;

@@ -22,6 +22,7 @@
 
 #include "server/client.hpp"
 #include "server/protocol.hpp"
+#include "server/request.hpp"
 #include "server/server.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -272,6 +273,30 @@ TEST(ServerCorpus, StrictRequestValidation) {
                  "null");
 
   expect_serves_cleanly(daemon.port());
+}
+
+TEST(ServerRequest, ThreadCountsAreBoundedAtParse) {
+  // Parse layer only: a daemon asked for these would start the threads.
+  const auto refusal = [](const std::string& request) -> std::string {
+    try {
+      parse_request(request);
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::invalid_argument);
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(refusal(R"({"circuits": ["c17"], "jobs": 1000000})"),
+            "request: jobs x threads_per_circuit must be at most 256");
+  EXPECT_EQ(refusal(R"({"circuits": ["c17"], "jobs": 64,
+                       "threads_per_circuit": 8})"),
+            "request: jobs x threads_per_circuit must be at most 256");
+  EXPECT_EQ(refusal(R"({"circuits": ["c17"], "jobs": -1})"),
+            "request: jobs must be non-negative");
+  const OptimizeRequest request = parse_request(
+      R"({"circuits": ["c17"], "jobs": 16, "threads_per_circuit": 16})");
+  EXPECT_EQ(request.batch.jobs, 16);
+  EXPECT_EQ(request.batch.threads_per_circuit, 16);
 }
 
 // ---------------------------------------------------------------------------

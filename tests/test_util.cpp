@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -189,6 +190,48 @@ TEST(Strings, SplitTrimJoin) {
 TEST(Strings, FormatFixed) {
   EXPECT_EQ(format_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(format_fixed(-0.5, 1), "-0.5");
+}
+
+TEST(Strings, StrictNumericParsing) {
+  EXPECT_EQ(parse_int("--n", "-42"), -42);
+  EXPECT_EQ(parse_u64("--n", "18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse_double("--x", "2.5"), 2.5);
+  // Anything but a whole number of the expected kind is refused, never
+  // read as 0 or as a prefix.
+  const auto message = [](auto parse, const char* text) {
+    try {
+      parse("--x", text);
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::invalid_argument);
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  const auto as_int = [](const char* w, const char* t) {
+    return parse_int(w, t);
+  };
+  const auto as_u64 = [](const char* w, const char* t) {
+    return parse_u64(w, t);
+  };
+  const auto as_double = [](const char* w, const char* t) {
+    return parse_double(w, t);
+  };
+  EXPECT_EQ(message(as_int, "nope"), "--x expects an integer, got 'nope'");
+  EXPECT_EQ(message(as_int, ""), "--x expects an integer, got ''");
+  EXPECT_EQ(message(as_int, "5x"), "--x expects an integer, got '5x'");
+  EXPECT_EQ(message(as_int, "1.5"), "--x expects an integer, got '1.5'");
+  EXPECT_EQ(message(as_u64, " 5"),
+            "--x expects a non-negative integer, got ' 5'");
+  EXPECT_EQ(message(as_u64, "-1"),
+            "--x expects a non-negative integer, got '-1'");
+  EXPECT_EQ(message(as_double, "x"), "--x expects a finite number, got 'x'");
+  EXPECT_EQ(message(as_double, "nan"),
+            "--x expects a finite number, got 'nan'");
+  EXPECT_EQ(message(as_double, "inf"),
+            "--x expects a finite number, got 'inf'");
+  EXPECT_EQ(message(as_double, "1e999"),
+            "--x expects a finite number, got '1e999'");
 }
 
 TEST(TextTable, RendersAlignedColumns) {

@@ -12,85 +12,16 @@
 // protocol; `--connect` sends the same option surface as a request and
 // streams the response.
 //
-// Usage:
-//   tr_opt [circuit ...] [options]            one-shot batch
-//   tr_opt --serve [--port N] [server options]
-//   tr_opt --connect HOST:PORT [circuit ...] [options]
-//   tr_opt --connect HOST:PORT --shutdown     ask the daemon to drain
-//
-// Circuits (positional, repeatable; --suite appends whole suites):
-//   <name>.blif   BLIF file: generic (.names) models are mapped onto the
-//                 library, mapped (.gate) models are loaded directly
-//   <name>.v      structural Verilog (the writer's subset)
-//   c17 ...       an embedded classic (see benchgen::classic_names)
-//   alu2 ...      a Table 3 / scaled suite entry, generated on the fly
-//   (the daemon serves embedded/generated specs only — file paths are
-//   rejected in a network request)
-//
-// Options:
-//   --suite classic|table3|scaled  append the whole suite
-//   --scenario A|B       input-statistics scenario (default A)
-//   --seed N             master seed; per-circuit streams derive from it
-//                        and the circuit name (default 1)
-//   --jobs N             circuit-level workers, 0 = hardware (default 0)
-//   --threads-per-circuit N  gate-level workers per circuit (default 1)
-//   --objective minimize|maximize   power objective (default minimize)
-//   --model extended|output_only    gate power model (default extended)
-//   --delay-budget F     admit only configurations keeping the critical
-//                        path within (1+F)x the original; F >= 0
-//                        (default off; 0 = zero-slack budget)
-//   --engine catalog|reference|anneal  scoring engine (default catalog;
-//                        reference = the per-candidate rebuild oracle,
-//                        anneal = global search under a delay budget)
-//   --anneal-seed N      move-stream seed of --engine anneal (default 1)
-//   --anneal-iters N     annealing moves per gate (default 256)
-//   --restrict-instance  only same-layout-instance reorderings
-//   --keep-going         contain per-circuit failures as error records
-//                        and finish the rest (default)
-//   --fail-fast          abort the batch on the first circuit failure
-//   --deadline-ms F      cancel outstanding work F milliseconds after
-//                        the run starts; cancelled circuits report
-//                        status "cancelled" (all-or-nothing: a circuit
-//                        either finishes deterministically or carries
-//                        no numbers)
-//   --out DIR            write batch.json + one <circuit>.json per
-//                        circuit into DIR instead of stdout
-//   --no-timing          omit wall-clock fields (byte-stable output)
-//   --no-gate-configs    omit the per-gate configuration arrays
-//   --no-cache-stats     omit the catalog_cache block — use together
-//                        with --no-timing to byte-compare a one-shot
-//                        run against a daemon response (the daemon
-//                        always omits both; DESIGN.md Sec. 13.3)
-//   --checkpoint DIR     journal every completed circuit into DIR
-//                        (crash-consistent entries; DESIGN.md Sec. 15)
-//   --resume             with --checkpoint: skip circuits already
-//                        journaled in DIR and re-emit their results;
-//                        under --no-timing --no-cache-stats the output
-//                        is byte-identical to an uninterrupted run
-//
-// Server options (--serve):
-//   --port N             TCP port, 0 = ephemeral (default 0)
-//   --host ADDR          bind address (default 127.0.0.1)
-//   --port-file PATH     write the bound port to PATH (for scripts)
-//   --workers N          concurrent request executors (default 2)
-//   --max-queue N        admission bound on queued requests (default 64)
-//   --catalog-capacity N LRU bound on cached catalogs, 0 = unbounded
-//
-// Client options (--connect):
-//   --priority N         scheduling priority, higher first (default 0)
-//   --shutdown           send a drain request instead of circuits
-//   --retries N          extra attempts after a retryable failure
-//                        (transport errors, retryable server errors;
-//                        default 0 = fail on the first)
-//   --retry-base-ms F    backoff before the first retry, doubling each
-//                        attempt with deterministic seeded jitter
-//                        (default 100)
-//   --timeout-ms F       per-attempt connect/read timeout (default:
-//                        none — the server enforces --deadline-ms)
-//   --request-id ID      idempotency key: the daemon replays the stored
-//                        response of an already-completed ID instead of
-//                        re-running it, so a retried request is executed
-//                        at most once (DESIGN.md Sec. 15.4)
+// Circuits are positional (BLIF or structural-Verilog files, embedded
+// classics, generated suite entries; the daemon serves embedded and
+// generated specs only). The run options are the rows of the run-option
+// table (opt/run_options.hpp), which also parses a daemon request, so
+// each flag is one request field; `tr_opt --help` lists every option.
+// --checkpoint DIR journals each completed circuit (DESIGN.md Sec. 15);
+// --resume re-emits the journaled ones, byte-identical under
+// --no-timing --no-cache-stats to an uninterrupted run, the same
+// carve-outs under which a one-shot run byte-compares against a daemon
+// response (DESIGN.md Sec. 13.3).
 //
 // stdout carries exactly one JSON document (or nothing with --out);
 // progress and the human summary go to stderr. Every JSON field except
@@ -107,15 +38,12 @@
 // fault-injection harness (util/fault.hpp) for the whole run — the CI
 // recovery-path drills run this binary with a poisoned environment.
 
-#include <charconv>
-#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -124,6 +52,7 @@
 #include "opt/batch_report.hpp"
 #include "opt/checkpoint.hpp"
 #include "opt/circuit_load.hpp"
+#include "opt/run_options.hpp"
 #include "util/cancel.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -146,92 +75,42 @@ using namespace tr;
 int usage(const char* error) {
   if (error != nullptr) std::cerr << "tr_opt: " << error << "\n";
   std::cerr
-      << "usage: tr_opt [circuit ...] [--suite classic|table3|scaled]\n"
-         "              [--scenario A|B] [--seed N] [--jobs N]\n"
-         "              [--threads-per-circuit N]\n"
-         "              [--objective minimize|maximize]\n"
-         "              [--model extended|output_only] [--delay-budget F]\n"
-         "              [--engine catalog|reference|anneal]\n"
-         "              [--anneal-seed N] [--anneal-iters N]\n"
-         "              [--restrict-instance] [--keep-going | --fail-fast]\n"
-         "              [--deadline-ms F] [--out DIR] [--no-timing]\n"
-         "              [--no-gate-configs] [--no-cache-stats]\n"
-         "              [--checkpoint DIR [--resume]]\n"
-         "       tr_opt --serve [--port N] [--host ADDR] [--port-file PATH]\n"
-         "              [--workers N] [--max-queue N] [--catalog-capacity N]\n"
-         "       tr_opt --connect HOST:PORT [circuit/option ...]\n"
-         "              [--priority N] [--retries N] [--retry-base-ms F]\n"
-         "              [--timeout-ms F] [--request-id ID]\n"
-         "       tr_opt --connect HOST:PORT --shutdown\n"
+      << "usage: tr_opt [circuit ...] [option ...]       one-shot batch\n"
+         "       tr_opt --serve [option ...]              the daemon\n"
+         "       tr_opt --connect HOST:PORT [circuit ...] [option ...]\n"
+         "       tr_opt --connect HOST:PORT --shutdown    drain the daemon\n"
          "circuits: BLIF/structural-Verilog files, embedded classics "
          "(c17, fulladder, cmp2, dec2to4),\n"
-         "or generated suite entries (b1 ... alu4, syn1000 ... syn8000)\n";
+         "or generated suite entries (b1 ... alu4, syn1000 ... syn8000)\n"
+         "run options (each also a field of a --connect request):\n"
+      << opt::options_help()
+      << "batch options:\n"
+         "  --suite classic|table3|scaled      append the whole suite\n"
+         "  --out DIR                          batch.json + <circuit>.json "
+         "files\n"
+         "  --no-timing                        omit wall-clock fields\n"
+         "  --no-cache-stats                   omit the catalog_cache block\n"
+         "  --checkpoint DIR                   journal completed circuits\n"
+         "  --resume                           skip journaled circuits\n"
+         "server options (--serve):\n"
+         "  --host ADDR                        bind address (127.0.0.1)\n"
+         "  --port N                           TCP port, 0 = ephemeral (0)\n"
+         "  --port-file PATH                   write the bound port to PATH\n"
+         "  --workers N                        request executors (default 2)\n"
+         "  --max-queue N                      queued-request bound (64)\n"
+         "  --catalog-capacity N               catalog LRU bound, 0 = none\n"
+         "client options (--connect):\n"
+         "  --retries N                        extra attempts (default 0)\n"
+         "  --retry-base-ms F                  first backoff (default 100)\n"
+         "  --timeout-ms F                     per-read timeout (none)\n";
   return 2;
 }
 
-std::string sanitize_filename(const std::string& name) {
-  std::string out;
-  for (const char c : name) {
-    const bool safe = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '-' || c == '_' ||
-                      c == '.';
-    out += safe ? c : '_';
-  }
-  return out.empty() ? "circuit" : out;
-}
-
-/// Strict numeric parsing: a flag value that is not entirely a number of
-/// the expected kind is a usage error, never a silent 0 (a mistyped
-/// --delay-budget must not quietly enable a zero-increase budget).
-/// std::from_chars — unlike the sto* family — accepts neither leading
-/// whitespace (" 5" must fail) nor "nan"/"inf" for the integer kinds;
-/// the finite check below closes the non-finite hole for doubles (a NaN
-/// --deadline-ms would otherwise never latch in the cancellation token).
-long long parse_int(const std::string& flag, const std::string& text) {
-  long long value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc() || ptr != end) {
-    std::exit(
-        usage((flag + " expects an integer, got '" + text + "'").c_str()));
-  }
-  return value;
-}
-
-std::uint64_t parse_u64(const std::string& flag, const std::string& text) {
-  std::uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc() || ptr != end) {
-    std::exit(usage(
-        (flag + " expects a non-negative integer, got '" + text + "'")
-            .c_str()));
-  }
-  return value;
-}
-
-double parse_double(const std::string& flag, const std::string& text) {
-  double value = 0.0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc() || ptr != end ||
-      !std::isfinite(value)) {
-    std::exit(
-        usage((flag + " expects a finite number, got '" + text + "'")
-                  .c_str()));
-  }
-  return value;
-}
-
 /// The full option surface of one run, shared by the batch, serve and
-/// connect modes (the connect mode serialises it as a request document).
+/// connect modes (the connect mode sends `request` as its document).
 struct Options {
-  std::vector<std::string> circuit_specs;
-  char scenario = 'A';
-  std::uint64_t seed = 1;
+  opt::RunRequest request;  ///< circuits and every run option
   std::string out_dir;
-  double deadline_ms = -1.0;
-  opt::BatchOptions batch;
   opt::BatchJsonOptions json;
 
   std::string checkpoint_dir;  ///< empty = journaling off
@@ -239,12 +118,12 @@ struct Options {
 
   bool serve = false;
   std::string connect;  ///< HOST:PORT, empty = one-shot batch mode
+  std::string connect_host;
+  int connect_port = 0;
   bool shutdown = false;
-  int priority = 0;
   int retries = 0;                ///< extra client attempts after the first
   double retry_base_ms = 100.0;   ///< backoff of the first retry
   double timeout_ms = -1.0;       ///< per-attempt connect/read timeout
-  std::string request_id;         ///< idempotency key, empty = none
   int port = 0;
   std::string host = "127.0.0.1";
   std::string port_file;
@@ -262,10 +141,11 @@ int run_batch(Options& o) {
     const celllib::Tech tech;
 
     std::vector<opt::BatchCircuit> batch;
-    batch.reserve(o.circuit_specs.size());
-    for (const std::string& spec : o.circuit_specs) {
+    opt::RunRequest& r = o.request;
+    batch.reserve(r.circuits.size());
+    for (const std::string& spec : r.circuits) {
       batch.push_back(opt::make_scenario_circuit_guarded(
-          spec, o.scenario, o.seed, library,
+          spec, r.scenario, r.seed, library,
           [&] { return opt::load_circuit_spec(spec, library); }));
       const opt::BatchCircuit& circuit = batch.back();
       if (circuit.load_error) {
@@ -279,9 +159,9 @@ int run_batch(Options& o) {
 
     // Armed after loading so --deadline-ms budgets the optimization
     // itself, not suite generation.
-    if (o.deadline_ms >= 0.0) {
-      o.batch.cancel = util::CancellationToken::with_deadline_ms(
-          o.deadline_ms);
+    if (r.deadline_ms) {
+      r.batch.cancel = util::CancellationToken::with_deadline_ms(
+          *r.deadline_ms);
     }
 
     // Checkpoint journaling (DESIGN.md Sec. 15.2): the manifest pins the
@@ -292,21 +172,21 @@ int run_batch(Options& o) {
     if (!o.checkpoint_dir.empty()) {
       journal.emplace(
           o.checkpoint_dir, o.resume,
-          opt::checkpoint::render_manifest(o.circuit_specs, o.scenario,
-                                           o.seed, o.batch));
+          opt::checkpoint::render_manifest(r.circuits, r.scenario, r.seed,
+                                           r.batch));
       if (o.resume) {
         const int resumed = journal->load(batch);
         std::cerr << "tr_opt: resumed " << resumed << "/" << batch.size()
                   << " circuits from " << o.checkpoint_dir << "\n";
       }
-      o.batch.journal = [&journal](std::size_t i,
+      r.batch.journal = [&journal](std::size_t i,
                                    const opt::BatchCircuit& circuit,
                                    const opt::BatchCircuitResult& result) {
         journal->record(i, circuit, result);
       };
     }
 
-    const opt::BatchOptimizer optimizer(library, tech, o.batch);
+    const opt::BatchOptimizer optimizer(library, tech, r.batch);
     const opt::BatchReport report = optimizer.run(batch);
 
     if (journal) {
@@ -321,15 +201,16 @@ int run_batch(Options& o) {
       }
     }
 
+    o.json.include_gate_configs = r.gate_configs;
     if (o.out_dir.empty()) {
-      write_batch_json(batch, report, o.batch, std::cout, o.json);
+      write_batch_json(batch, report, r.batch, std::cout, o.json);
     } else {
       namespace fs = std::filesystem;
       fs::create_directories(o.out_dir);
       {
         std::ofstream out(fs::path(o.out_dir) / "batch.json");
         require(out.good(), "cannot write to '" + o.out_dir + "'");
-        write_batch_json(batch, report, o.batch, out, o.json);
+        write_batch_json(batch, report, r.batch, out, o.json);
       }
       // Deterministic, collision-proof file names: bump a suffix until
       // the final name is genuinely unused ("a", "a", "a_2" must yield
@@ -387,6 +268,21 @@ int run_batch(Options& o) {
     return 1;
   }
   return 0;
+}
+
+/// Splits HOST:PORT (or bare PORT, meaning loopback). Throws tr::Error
+/// (invalid_argument) on anything else.
+void parse_endpoint(const std::string& spec, std::string& host, int& port) {
+  const std::size_t colon = spec.rfind(':');
+  const bool bare = colon == std::string::npos;
+  host = bare ? "127.0.0.1" : spec.substr(0, colon);
+  const long long value =
+      parse_int("--connect port", bare ? spec : spec.substr(colon + 1));
+  if (value < 1 || value > 65535) {
+    throw Error("--connect port must be in 1..65535",
+                ErrorCode::invalid_argument);
+  }
+  port = static_cast<int>(value);
 }
 
 #ifdef TR_HAVE_SERVER
@@ -448,82 +344,6 @@ int run_serve(const Options& o) {
   }
 }
 
-/// Splits HOST:PORT (or bare PORT, meaning loopback). Exits with a
-/// usage error on anything else.
-void parse_endpoint(const std::string& spec, std::string& host, int& port) {
-  const std::size_t colon = spec.rfind(':');
-  std::string port_text;
-  if (colon == std::string::npos) {
-    host = "127.0.0.1";
-    port_text = spec;
-  } else {
-    host = spec.substr(0, colon);
-    port_text = spec.substr(colon + 1);
-  }
-  const long long value = parse_int("--connect port", port_text);
-  if (value < 1 || value > 65535) {
-    std::exit(usage("--connect port must be in 1..65535"));
-  }
-  port = static_cast<int>(value);
-}
-
-std::string render_request(const Options& o) {
-  std::ostringstream out;
-  util::JsonWriter w(out);
-  w.begin_object();
-  w.key("circuits");
-  w.begin_array();
-  for (const std::string& spec : o.circuit_specs) w.value(spec);
-  w.end_array();
-  w.key("scenario");
-  w.value(std::string(1, o.scenario));
-  w.key("seed");
-  w.value(o.seed);
-  w.key("jobs");
-  w.value(o.batch.jobs);
-  w.key("threads_per_circuit");
-  w.value(o.batch.threads_per_circuit);
-  w.key("objective");
-  w.value(o.batch.opt.objective == opt::Objective::minimize_power
-              ? "minimize"
-              : "maximize");
-  w.key("model");
-  w.value(o.batch.opt.model == power::ModelKind::extended ? "extended"
-                                                          : "output_only");
-  w.key("delay_budget");
-  if (o.batch.opt.max_circuit_delay_increase) {
-    w.value(*o.batch.opt.max_circuit_delay_increase);
-  } else {
-    w.null_value();
-  }
-  w.key("engine");
-  w.value(opt::engine_name(o.batch.opt.engine));
-  w.key("anneal_seed");
-  w.value(o.batch.opt.anneal.seed);
-  w.key("anneal_iters");
-  w.value(o.batch.opt.anneal.iterations_per_gate);
-  w.key("restrict_instance");
-  w.value(o.batch.opt.restrict_to_instance);
-  w.key("keep_going");
-  w.value(o.batch.keep_going);
-  w.key("deadline_ms");
-  if (o.deadline_ms >= 0.0) {
-    w.value(o.deadline_ms);
-  } else {
-    w.null_value();
-  }
-  w.key("priority");
-  w.value(o.priority);
-  w.key("gate_configs");
-  w.value(o.json.include_gate_configs);
-  if (!o.request_id.empty()) {
-    w.key("request_id");
-    w.value(o.request_id);
-  }
-  w.end_object();
-  return out.str();
-}
-
 /// Maps a terminal frame onto the CLI exit codes so `--connect` scripts
 /// interchange with one-shot runs.
 int connect_exit_code(const server::ClientResult& result) {
@@ -550,18 +370,14 @@ int connect_exit_code(const server::ClientResult& result) {
 
 int run_connect(const Options& o) {
   try {
-    std::string host;
-    int port = 0;
-    parse_endpoint(o.connect, host, port);
-
     if (o.shutdown) {
-      require(server::send_shutdown(host, port),
+      require(server::send_shutdown(o.connect_host, o.connect_port),
               "client: shutdown not acknowledged");
       std::cerr << "tr_opt: server draining\n";
       return 0;
     }
 
-    if (o.circuit_specs.empty()) {
+    if (o.request.circuits.empty()) {
       return usage("no circuits given");
     }
     server::RetryPolicy policy;
@@ -570,14 +386,15 @@ int run_connect(const Options& o) {
     policy.timeout_ms = o.timeout_ms;
     // The jitter stream derives from the master seed so a scripted
     // client's whole retry schedule replays from one --seed value.
-    policy.jitter_seed = o.seed;
+    policy.jitter_seed = o.request.seed;
     policy.on_retry = [](int attempt, double delay_ms,
                          const std::string& why) {
       std::cerr << "tr_opt: retry " << attempt << " in "
                 << format_fixed(delay_ms, 0) << " ms: " << why << "\n";
     };
     const server::ClientResult result = server::run_request_with_retry(
-        host, port, render_request(o), policy,
+        o.connect_host, o.connect_port, opt::render_request(o.request),
+        policy,
         [](const std::string& payload) { std::cerr << payload << "\n"; });
     // The payload goes out verbatim — byte-comparable against a
     // one-shot run with --no-timing --no-cache-stats.
@@ -597,160 +414,83 @@ int run_connect(const Options& o) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr long long kIntMax = std::numeric_limits<int>::max();
   Options o;
+  const std::vector<std::string> args(argv + 1, argv + argc);
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) {
-        std::exit(usage((std::string(flag) + " needs a value").c_str()));
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& arg = args[i];
+    const auto next = [&]() -> const std::string& {
+      if (i + 1 >= args.size()) {
+        throw Error(arg + " needs a value", ErrorCode::invalid_argument);
       }
-      return argv[++i];
+      return args[++i];
     };
-    if (arg == "--suite") {
-      const std::string suite = next("--suite");
-      try {
-        for (std::string& spec : opt::suite_circuit_specs(suite)) {
-          o.circuit_specs.push_back(std::move(spec));
+    const auto int_in = [&](long long lo, long long hi, const char* must) {
+      const long long value = parse_int(arg, next());
+      if (value < lo || value > hi) {
+        throw Error(arg + " must be " + must, ErrorCode::invalid_argument);
+      }
+      return value;
+    };
+    // A malformed value or a refused option is a usage error (exit 2).
+    try {
+      if (const std::size_t used = opt::apply_flag(o.request, args, i)) {
+        i += used - 1;
+      } else if (arg == "--suite") {
+        for (std::string& spec : opt::suite_circuit_specs(next())) {
+          o.request.circuits.push_back(std::move(spec));
         }
-      } catch (const Error& e) {
-        return usage(e.what());
-      }
-    } else if (arg == "--scenario") {
-      const std::string s = next("--scenario");
-      if (s != "A" && s != "B") return usage("scenario must be A or B");
-      o.scenario = s[0];
-    } else if (arg == "--seed") {
-      o.seed = parse_u64("--seed", next("--seed"));
-    } else if (arg == "--jobs") {
-      o.batch.jobs = static_cast<int>(parse_int("--jobs", next("--jobs")));
-    } else if (arg == "--threads-per-circuit") {
-      o.batch.threads_per_circuit = static_cast<int>(
-          parse_int("--threads-per-circuit", next("--threads-per-circuit")));
-    } else if (arg == "--objective") {
-      const std::string obj = next("--objective");
-      if (obj == "minimize") {
-        o.batch.opt.objective = opt::Objective::minimize_power;
-      } else if (obj == "maximize") {
-        o.batch.opt.objective = opt::Objective::maximize_power;
+      } else if (arg == "--out") {
+        o.out_dir = next();
+      } else if (arg == "--checkpoint") {
+        o.checkpoint_dir = next();
+      } else if (arg == "--resume") {
+        o.resume = true;
+      } else if (arg == "--retries") {
+        o.retries = static_cast<int>(int_in(0, kIntMax, "non-negative"));
+      } else if (arg == "--retry-base-ms") {
+        o.retry_base_ms = parse_double(arg, next());
+        if (o.retry_base_ms < 0.0) {
+          return usage("--retry-base-ms expects a non-negative number");
+        }
+      } else if (arg == "--timeout-ms") {
+        o.timeout_ms = parse_double(arg, next());
+        if (o.timeout_ms <= 0.0) {
+          return usage("--timeout-ms expects a positive number");
+        }
+      } else if (arg == "--no-timing") {
+        o.json.include_timing = false;
+      } else if (arg == "--no-cache-stats") {
+        o.json.include_cache_stats = false;
+      } else if (arg == "--serve") {
+        o.serve = true;
+      } else if (arg == "--connect") {
+        o.connect = next();
+        parse_endpoint(o.connect, o.connect_host, o.connect_port);
+      } else if (arg == "--shutdown") {
+        o.shutdown = true;
+      } else if (arg == "--port") {
+        o.port = static_cast<int>(int_in(0, 65535, "in 0..65535"));
+      } else if (arg == "--host") {
+        o.host = next();
+      } else if (arg == "--port-file") {
+        o.port_file = next();
+      } else if (arg == "--workers") {
+        o.workers = static_cast<int>(int_in(1, kIntMax, "at least 1"));
+      } else if (arg == "--max-queue") {
+        o.max_queue = int_in(1, kIntMax, "at least 1");
+      } else if (arg == "--catalog-capacity") {
+        o.catalog_capacity = parse_u64(arg, next());
+      } else if (arg == "--help" || arg == "-h") {
+        return usage(nullptr);
+      } else if (!arg.empty() && arg[0] == '-') {
+        return usage(("unknown option '" + arg + "'").c_str());
       } else {
-        return usage("objective must be minimize or maximize");
+        o.request.circuits.push_back(arg);
       }
-    } else if (arg == "--model") {
-      const std::string m = next("--model");
-      if (m == "extended") {
-        o.batch.opt.model = power::ModelKind::extended;
-      } else if (m == "output_only") {
-        o.batch.opt.model = power::ModelKind::output_only;
-      } else {
-        return usage("model must be extended or output_only");
-      }
-    } else if (arg == "--delay-budget") {
-      const double budget =
-          parse_double("--delay-budget", next("--delay-budget"));
-      // A negative budget used to be the "off" sentinel; now that unset
-      // is explicit it is a plain usage error.
-      if (budget < 0.0) {
-        return usage("--delay-budget expects a non-negative number");
-      }
-      o.batch.opt.max_circuit_delay_increase = budget;
-    } else if (arg == "--engine") {
-      const std::string engine = next("--engine");
-      if (engine == "catalog") {
-        o.batch.opt.engine = opt::Engine::catalog;
-      } else if (engine == "reference") {
-        o.batch.opt.engine = opt::Engine::reference;
-      } else if (engine == "anneal") {
-        o.batch.opt.engine = opt::Engine::anneal;
-      } else {
-        return usage("engine must be catalog, reference or anneal");
-      }
-    } else if (arg == "--anneal-seed") {
-      o.batch.opt.anneal.seed =
-          parse_u64("--anneal-seed", next("--anneal-seed"));
-    } else if (arg == "--anneal-iters") {
-      const long long iters =
-          parse_int("--anneal-iters", next("--anneal-iters"));
-      if (iters < 1) return usage("--anneal-iters must be at least 1");
-      o.batch.opt.anneal.iterations_per_gate = static_cast<int>(iters);
-    } else if (arg == "--restrict-instance") {
-      o.batch.opt.restrict_to_instance = true;
-    } else if (arg == "--keep-going") {
-      o.batch.keep_going = true;
-    } else if (arg == "--fail-fast") {
-      o.batch.keep_going = false;
-    } else if (arg == "--deadline-ms") {
-      o.deadline_ms = parse_double("--deadline-ms", next("--deadline-ms"));
-      if (o.deadline_ms < 0.0) {
-        return usage("--deadline-ms expects a non-negative number");
-      }
-    } else if (arg == "--out") {
-      o.out_dir = next("--out");
-    } else if (arg == "--checkpoint") {
-      o.checkpoint_dir = next("--checkpoint");
-    } else if (arg == "--resume") {
-      o.resume = true;
-    } else if (arg == "--retries") {
-      const long long retries = parse_int("--retries", next("--retries"));
-      if (retries < 0) return usage("--retries must be non-negative");
-      o.retries = static_cast<int>(retries);
-    } else if (arg == "--retry-base-ms") {
-      o.retry_base_ms =
-          parse_double("--retry-base-ms", next("--retry-base-ms"));
-      if (o.retry_base_ms < 0.0) {
-        return usage("--retry-base-ms expects a non-negative number");
-      }
-    } else if (arg == "--timeout-ms") {
-      o.timeout_ms = parse_double("--timeout-ms", next("--timeout-ms"));
-      if (o.timeout_ms <= 0.0) {
-        return usage("--timeout-ms expects a positive number");
-      }
-    } else if (arg == "--request-id") {
-      o.request_id = next("--request-id");
-      if (o.request_id.empty()) {
-        return usage("--request-id expects a non-empty key");
-      }
-    } else if (arg == "--no-timing") {
-      o.json.include_timing = false;
-    } else if (arg == "--no-gate-configs") {
-      o.json.include_gate_configs = false;
-    } else if (arg == "--no-cache-stats") {
-      o.json.include_cache_stats = false;
-    } else if (arg == "--serve") {
-      o.serve = true;
-    } else if (arg == "--connect") {
-      o.connect = next("--connect");
-    } else if (arg == "--shutdown") {
-      o.shutdown = true;
-    } else if (arg == "--port") {
-      const long long port = parse_int("--port", next("--port"));
-      if (port < 0 || port > 65535) {
-        return usage("--port must be in 0..65535");
-      }
-      o.port = static_cast<int>(port);
-    } else if (arg == "--host") {
-      o.host = next("--host");
-    } else if (arg == "--port-file") {
-      o.port_file = next("--port-file");
-    } else if (arg == "--workers") {
-      const long long workers = parse_int("--workers", next("--workers"));
-      if (workers < 1) return usage("--workers must be at least 1");
-      o.workers = static_cast<int>(workers);
-    } else if (arg == "--max-queue") {
-      o.max_queue = parse_int("--max-queue", next("--max-queue"));
-      if (o.max_queue < 1) return usage("--max-queue must be at least 1");
-    } else if (arg == "--catalog-capacity") {
-      o.catalog_capacity =
-          parse_u64("--catalog-capacity", next("--catalog-capacity"));
-    } else if (arg == "--priority") {
-      o.priority =
-          static_cast<int>(parse_int("--priority", next("--priority")));
-    } else if (arg == "--help" || arg == "-h") {
-      return usage(nullptr);
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage(("unknown option '" + arg + "'").c_str());
-    } else {
-      o.circuit_specs.push_back(arg);
+    } catch (const Error& e) {
+      return usage(e.what());
     }
   }
 
@@ -766,14 +506,15 @@ int main(int argc, char** argv) {
   if (!o.checkpoint_dir.empty() && (o.serve || !o.connect.empty())) {
     return usage("--checkpoint applies to one-shot batch mode only");
   }
-  if ((o.retries != 0 || o.timeout_ms > 0.0 || !o.request_id.empty()) &&
+  if ((o.retries != 0 || o.timeout_ms > 0.0 ||
+       !o.request.request_id.empty()) &&
       o.connect.empty()) {
     return usage("--retries/--timeout-ms/--request-id require --connect");
   }
 
 #ifdef TR_HAVE_SERVER
   if (o.serve) {
-    if (!o.circuit_specs.empty()) {
+    if (!o.request.circuits.empty()) {
       return usage("--serve takes no circuits");
     }
     return run_serve(o);
@@ -785,6 +526,6 @@ int main(int argc, char** argv) {
   }
 #endif
 
-  if (o.circuit_specs.empty()) return usage("no circuits given");
+  if (o.request.circuits.empty()) return usage("no circuits given");
   return run_batch(o);
 }
