@@ -58,10 +58,13 @@ fail() {
 
 # The soak workload: slow enough (annealing, serial circuits) that a
 # SIGKILL lands mid-suite, deterministic output under --no-timing
-# --no-cache-stats. Keep flags identical across oracle/crash/resume —
-# the checkpoint manifest pins them.
+# --no-cache-stats. The delay budget is what makes the annealer search:
+# without one it returns the greedy seed at once and the whole suite
+# finishes in well under 0.1 s, inside the kill loops' polling step.
+# Keep flags identical across oracle/crash/resume — the checkpoint
+# manifest pins them.
 WORKLOAD=(--suite table3 --engine anneal --anneal-iters 512
-  --jobs 1 --no-timing --no-cache-stats)
+  --delay-budget 0.05 --jobs 1 --no-timing --no-cache-stats)
 
 echo "chaos_soak: oracle run (serial, fresh process)"
 "$TR_OPT" "${WORKLOAD[@]}" > "$WORK/oracle.json" 2> "$WORK/oracle.log"

@@ -39,9 +39,9 @@ std::vector<int> model_node_order(int internal_count) {
   return order;
 }
 
-/// Characterises a configuration directly: graph construction + path DFS.
-void characterize(CatalogConfig& entry, int input_count, int internal_count) {
-  const GateGraph graph(entry.topology);
+/// Characterises a configuration directly: path-function DFS on its graph.
+void characterize(CatalogConfig& entry, const GateGraph& graph,
+                  int input_count, int internal_count) {
   const std::vector<int> terminals = graph.terminal_counts();
   entry.nodes.clear();
   entry.nodes.reserve(static_cast<std::size_t>(internal_count) + 1);
@@ -57,7 +57,7 @@ void characterize(CatalogConfig& entry, int input_count, int internal_count) {
 }
 
 /// Derives a configuration's tables from its instance representative by
-/// variable permutation and node remapping — no graph rebuild.
+/// variable permutation and node remapping — no path-function DFS.
 void derive(CatalogConfig& entry, const CatalogConfig& rep,
             const gategraph::ConfigIsomorphism& iso, int input_count,
             int internal_count) {
@@ -117,6 +117,8 @@ ReorderCatalog ReorderCatalog::build(const GateTopology& start) {
     if (catalog.configs_.empty()) first_key = key;
     entry.same_instance_as_first = key == first_key;
 
+    const GateGraph graph(entry.topology);
+    entry.elmore = delay::compile_elmore(graph);
     bool derived = false;
     for (const auto& [rep_index, rep_key] : reps) {
       if (rep_key != key) continue;
@@ -130,7 +132,8 @@ ReorderCatalog ReorderCatalog::build(const GateTopology& start) {
       break;
     }
     if (!derived) {
-      characterize(entry, catalog.input_count_, catalog.internal_node_count_);
+      characterize(entry, graph, catalog.input_count_,
+                   catalog.internal_node_count_);
       reps.emplace_back(static_cast<int>(catalog.configs_.size()), key);
       ++catalog.characterized_;
     }

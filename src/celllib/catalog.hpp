@@ -11,8 +11,10 @@
 // GateGraph path DFS; all other configurations derive their tables by
 // word-parallel variable permutation through a ConfigIsomorphism — the
 // configurations of a cell are input-permutations of their instance
-// representative (paper Sec. 5.1), so no graph is ever rebuilt per
-// candidate.
+// representative (paper Sec. 5.1), so no truth table is recomputed from
+// a graph per candidate. Every configuration also stores its compiled
+// Elmore program (delay/elmore_program.hpp), the load-independent output
+// of the timing path walk, so pin delays are evaluated, never re-walked.
 //
 // Catalogs contain no technology constants and no input statistics, so
 // one catalog serves every gate of a netlist that instantiates the same
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "boolfn/truth_table.hpp"
+#include "delay/elmore_program.hpp"
 #include "gategraph/gate_topology.hpp"
 
 namespace tr::celllib {
@@ -53,6 +56,9 @@ struct CatalogConfig {
   /// Internal nodes in ascending GateGraph id order, then the output node
   /// last — the exact node order evaluate_gate_power sums in.
   std::vector<CatalogNode> nodes;
+  /// The configuration's Elmore path walk, compiled: evaluate_elmore on
+  /// it is bit-identical to delay::gate_delays on its graph.
+  delay::ElmoreProgram elmore;
 };
 
 class ReorderCatalog {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "celllib/tech.hpp"
+#include "delay/elmore_program.hpp"
 #include "gategraph/gate_graph.hpp"
 #include "netlist/netlist.hpp"
 
@@ -33,8 +34,9 @@ struct GateDelays {
   double worst = 0.0;
 };
 
-/// Computes per-pin Elmore delays for a gate configuration.
-/// `node_caps` is indexed by GateGraph node id (celllib::node_capacitances).
+/// Computes per-pin Elmore delays for a gate configuration: compiles the
+/// path walk (compile_elmore) and evaluates it once. `node_caps` is
+/// indexed by GateGraph node id (celllib::node_capacitances).
 GateDelays gate_delays(const gategraph::GateGraph& graph,
                        const std::vector<double>& node_caps,
                        const celllib::Tech& tech);
@@ -45,6 +47,9 @@ struct CircuitDelay {
   double critical_path = 0.0;       ///< max arrival over primary outputs [s]
 };
 
+/// The GateGraph-per-gate oracle: rebuilds and times every gate's graph
+/// on each call. The optimizer reports the same critical paths from its
+/// own pin-delay tables (OptimizeReport::critical_path_before/after).
 CircuitDelay circuit_delay(const netlist::Netlist& netlist,
                            const celllib::Tech& tech);
 

@@ -48,11 +48,13 @@ std::map<NetId, boolfn::SignalStats> read_activity(
       throw ParseError(source_name, line_no,
                        "net '" + tokens[0] + "' is not a primary input");
     }
+    // Whole-token, finite numbers only: "0.5x", "nan" and "inf" are
+    // malformed, not values to range-check.
     boolfn::SignalStats s;
     try {
-      s.prob = std::stod(tokens[1]);
-      s.density = std::stod(tokens[2]);
-    } catch (const std::exception&) {
+      s.prob = parse_double("probability", tokens[1]);
+      s.density = parse_double("density", tokens[2]);
+    } catch (const Error&) {
       throw ParseError(source_name, line_no, "malformed number");
     }
     if (s.prob < 0.0 || s.prob > 1.0 || s.density < 0.0) {

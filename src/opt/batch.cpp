@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "delay/elmore.hpp"
 #include "opt/scenario.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -133,12 +132,8 @@ BatchReport BatchOptimizer::run(std::vector<BatchCircuit>& batch) const {
           static_cast<int>(circuit.netlist.primary_inputs().size());
       result.primary_outputs =
           static_cast<int>(circuit.netlist.primary_outputs().size());
-      result.critical_path_before =
-          delay::circuit_delay(circuit.netlist, tech_).critical_path;
       result.report =
           optimize(circuit.netlist, circuit.pi_stats, tech_, per_circuit);
-      result.critical_path_after =
-          delay::circuit_delay(circuit.netlist, tech_).critical_path;
       result.elapsed_ms = ms_between(t0, std::chrono::steady_clock::now());
       // Durability before visibility: journal the completed circuit
       // first, so an emitted progress frame implies the entry survives

@@ -85,8 +85,6 @@ struct BatchCircuitResult {
   int primary_inputs = 0;
   int primary_outputs = 0;
   OptimizeReport report;
-  double critical_path_before = 0.0;  ///< Elmore critical path [s]
-  double critical_path_after = 0.0;
   double elapsed_ms = 0.0;  ///< wall clock of this circuit's optimize
 };
 

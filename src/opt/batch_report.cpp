@@ -68,9 +68,9 @@ void write_circuit_object(JsonWriter& w, const BatchCircuit& circuit,
   w.value(percent_reduction(result.report.model_power_before,
                             result.report.model_power_after));
   w.key("critical_path_before_s");
-  w.value(result.critical_path_before);
+  w.value(result.report.critical_path_before);
   w.key("critical_path_after_s");
-  w.value(result.critical_path_after);
+  w.value(result.report.critical_path_after);
   w.key("gates_changed");
   w.value(result.report.gates_changed);
   w.key("configs_rejected_by_delay");

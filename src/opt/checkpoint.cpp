@@ -94,9 +94,9 @@ std::string render_entry(std::size_t index, const BatchCircuit& circuit,
   w.key("model_power_after_w");
   w.value(result.report.model_power_after);
   w.key("critical_path_before_s");
-  w.value(result.critical_path_before);
+  w.value(result.report.critical_path_before);
   w.key("critical_path_after_s");
-  w.value(result.critical_path_after);
+  w.value(result.report.critical_path_after);
   w.key("gates_changed");
   w.value(result.report.gates_changed);
   w.key("configs_rejected_by_delay");
@@ -259,10 +259,10 @@ int CheckpointJournal::load(std::vector<BatchCircuit>& batch) {
           field(doc, "model_power_before_w").as_double("model_power_before_w");
       result.report.model_power_after =
           field(doc, "model_power_after_w").as_double("model_power_after_w");
-      result.critical_path_before =
+      result.report.critical_path_before =
           field(doc, "critical_path_before_s")
               .as_double("critical_path_before_s");
-      result.critical_path_after =
+      result.report.critical_path_after =
           field(doc, "critical_path_after_s")
               .as_double("critical_path_after_s");
       result.report.gates_changed = static_cast<int>(

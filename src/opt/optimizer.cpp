@@ -160,13 +160,17 @@ OptimizeReport optimize_reference(Netlist& netlist,
   report.threads_used = 1;  // the traversal is inherently sequential
   report.decisions.resize(static_cast<std::size_t>(netlist.gate_count()));
 
-  // Arrival budgeting (conclusion (b)): per-net arrival ceilings from the
-  // incoming mapping, and the running arrivals of the optimized netlist.
+  // One circuit_delay of the incoming mapping gives the report's
+  // critical_path_before — from circuit_delay itself, so this engine stays
+  // independent of the catalog engines' delay tables — and, under arrival
+  // budgeting (conclusion (b)), the per-net arrival ceilings; `arrival`
+  // holds the running arrivals of the optimized netlist.
   const bool budget_delay = options.max_circuit_delay_increase.has_value();
+  const delay::CircuitDelay timing = delay::circuit_delay(netlist, tech);
+  report.critical_path_before = timing.critical_path;
   std::vector<double> arrival_budget;
   std::vector<double> arrival;
   if (budget_delay) {
-    const delay::CircuitDelay timing = delay::circuit_delay(netlist, tech);
     arrival_budget.resize(timing.net_arrival.size());
     for (std::size_t i = 0; i < timing.net_arrival.size(); ++i) {
       arrival_budget[i] =
@@ -276,11 +280,13 @@ OptimizeReport optimize_reference(Netlist& netlist,
     net_stats[static_cast<std::size_t>(inst.output)] =
         boolfn::propagate(f, inputs);
   }
+  report.critical_path_after =
+      delay::circuit_delay(netlist, tech).critical_path;
   return report;
 }
 
 /// The default engine: per-gate tables built gate-parallel (catalog
-/// powers; pin delays too under a delay budget), then the greedy walk
+/// powers and pin delays), then the greedy walk
 /// of paper Fig. 3 over them — per-gate argmins when unconstrained, and
 /// under arrival budgeting a walk in which a gate's admissible set
 /// depends on its fan-in's committed configurations.
@@ -305,8 +311,7 @@ OptimizeReport optimize_catalog(Netlist& netlist,
     pool = &own_pool.emplace(options.threads);
   }
   const std::vector<search::GateTable> tables = search::build_tables(
-      netlist, pi_stats, tech, options.model,
-      options.max_circuit_delay_increase.has_value(), options.cancel, pool);
+      netlist, pi_stats, tech, options.model, options.cancel, pool);
   const std::vector<GateId> topo_order = netlist.topological_order();
   const search::GreedySeed walk =
       search::greedy_seed(netlist, tables, topo_order, options);

@@ -8,12 +8,14 @@
 // that is fully independent: every gate looks up the precomputed
 // reordering catalog of its cell (celllib::ReorderCatalog, cached in the
 // CellLibrary) and scores all candidate configurations with the
-// word-parallel boolean kernel, concurrently on a small thread pool (plus
-// per-pin delay tables under a delay budget). One greedy walk over those
-// tables then picks a configuration per gate (opt/search.hpp). Results
-// are deterministic regardless of thread count (per-gate tie-breaking
-// keeps enumeration order, the report is assembled in GateId order and
-// accumulated in topological order, exactly like the reference engine).
+// word-parallel boolean kernel, concurrently on a small thread pool, plus
+// per-pin delay tables evaluated from the catalog's compiled Elmore
+// programs. One greedy walk over those tables then picks a configuration
+// per gate (opt/search.hpp), and the same tables give the report's
+// critical paths. Results are deterministic regardless of thread count
+// (per-gate tie-breaking keeps enumeration order, the report is assembled
+// in GateId order and accumulated in topological order, exactly like the
+// reference engine).
 //
 // The pre-catalog implementation — rebuild a GateGraph and re-run the
 // path-function DFS for every candidate — is retained as
@@ -173,6 +175,12 @@ struct OptimizeReport {
   std::vector<GateDecision> decisions;  ///< one per gate, GateId order
   double model_power_before = 0.0;  ///< circuit gate power, incoming configs
   double model_power_after = 0.0;   ///< circuit gate power, committed configs
+  /// Elmore critical path [s] of the incoming and the committed netlist,
+  /// equal to delay::circuit_delay(...).critical_path on each — taken
+  /// from the pin-delay tables by the catalog-backed engines, and from
+  /// circuit_delay itself by the reference oracle.
+  double critical_path_before = 0.0;
+  double critical_path_after = 0.0;
   int gates_changed = 0;
   /// Candidates rejected by the delay constraint (0 when disabled). For
   /// the annealing engine this counts the greedy seed phase, whose

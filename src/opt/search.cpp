@@ -5,9 +5,7 @@
 #include <limits>
 #include <string>
 
-#include "celllib/cell.hpp"
-#include "delay/elmore.hpp"
-#include "gategraph/gate_graph.hpp"
+#include "delay/elmore_program.hpp"
 #include "power/circuit_power.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -17,7 +15,6 @@ namespace tr::opt::search {
 
 using boolfn::SignalStats;
 using celllib::ReorderCatalog;
-using gategraph::GateGraph;
 using netlist::GateId;
 using netlist::NetId;
 using netlist::Netlist;
@@ -34,7 +31,7 @@ constexpr double k_inf = std::numeric_limits<double>::infinity();
 /// The circuit_delay recurrence for one gate: the max over pins, in pin
 /// order and starting from 0.0, of input arrival + pin delay.
 double gate_arrival(const netlist::GateInst& inst,
-                    const std::vector<double>& pin_delay,
+                    std::span<const double> pin_delay,
                     const std::vector<double>& arrival) {
   double out = 0.0;
   for (std::size_t pin = 0; pin < inst.inputs.size(); ++pin) {
@@ -49,7 +46,7 @@ double gate_arrival(const netlist::GateInst& inst,
 
 std::vector<GateTable> build_tables(
     const Netlist& netlist, const std::map<NetId, SignalStats>& pi_stats,
-    const celllib::Tech& tech, power::ModelKind model, bool with_delays,
+    const celllib::Tech& tech, power::ModelKind model,
     const util::CancellationToken& cancel, util::ThreadPool* pool) {
   netlist.validate();
   // Signal statistics are configuration-invariant (paper Sec. 4.2): one
@@ -73,7 +70,6 @@ std::vector<GateTable> build_tables(
     table.catalog = with_error_site("characterize", [&] {
       return netlist.library().catalog(netlist.gate(g).config);
     });
-    if (!with_delays) continue;
     const double load = netlist.external_load(g, tech);
     const auto slot = slot_of.emplace(
         std::make_pair(table.catalog.get(), load), slot_owner.size());
@@ -82,10 +78,10 @@ std::vector<GateTable> build_tables(
   }
 
   // Parallel pass, one slot per task: task i < gates scores gate i's
-  // configurations; every later task fills one pin-delay table through
-  // the very delay::gate_delays code path the reference engine runs.
-  std::vector<std::shared_ptr<const std::vector<std::vector<double>>>>
-      delay_tables(slot_owner.size());
+  // configurations; every later task fills one pin-delay table by
+  // evaluating the catalog's compiled Elmore programs at the slot's load.
+  std::vector<std::shared_ptr<const std::vector<double>>> delay_tables(
+      slot_owner.size());
   const auto build = [&](std::size_t i) {
     if (cancellable) cancel.check("optimize");
     if (i < gates) {
@@ -107,13 +103,13 @@ std::vector<GateTable> build_tables(
     const auto [owner, load] = slot_owner[i - gates];
     const ReorderCatalog& catalog =
         *tables[static_cast<std::size_t>(owner)].catalog;
-    auto delays = std::make_shared<std::vector<std::vector<double>>>();
-    delays->reserve(catalog.configs().size());
-    for (const celllib::CatalogConfig& config : catalog.configs()) {
-      const GateGraph graph(config.topology);
-      const std::vector<double> caps =
-          celllib::node_capacitances(graph, tech, load);
-      delays->push_back(delay::gate_delays(graph, caps, tech).pin_delay);
+    const std::size_t pins = static_cast<std::size_t>(catalog.input_count());
+    auto delays =
+        std::make_shared<std::vector<double>>(catalog.configs().size() * pins);
+    const std::span<double> rows(*delays);
+    for (std::size_t c = 0; c < catalog.configs().size(); ++c) {
+      delay::evaluate_elmore(catalog.configs()[c].elmore, tech, load,
+                             rows.subspan(c * pins, pins));
     }
     delay_tables[i - gates] = std::move(delays);
   };
@@ -123,12 +119,27 @@ std::vector<GateTable> build_tables(
   } else {
     for (std::size_t i = 0; i < tasks; ++i) build(i);
   }
-  if (with_delays) {
-    for (std::size_t gi = 0; gi < gates; ++gi) {
-      tables[gi].pin_delay = delay_tables[delay_slot[gi]];
-    }
+  for (std::size_t gi = 0; gi < gates; ++gi) {
+    tables[gi].pin_delay = delay_tables[delay_slot[gi]];
   }
   return tables;
+}
+
+std::vector<double> table_arrivals(const Netlist& netlist,
+                                   const std::vector<GateTable>& tables,
+                                   const std::vector<GateId>& topo_order,
+                                   const std::vector<int>& configs) {
+  std::vector<double> arrival(static_cast<std::size_t>(netlist.net_count()),
+                              0.0);
+  for (GateId g : topo_order) {
+    const netlist::GateInst& inst = netlist.gate(g);
+    arrival[static_cast<std::size_t>(inst.output)] = gate_arrival(
+        inst,
+        tables[static_cast<std::size_t>(g)].pin_delays(
+            configs[static_cast<std::size_t>(g)]),
+        arrival);
+  }
+  return arrival;
 }
 
 IncrementalScorer::IncrementalScorer(
@@ -136,35 +147,21 @@ IncrementalScorer::IncrementalScorer(
     const celllib::Tech& tech, power::ModelKind model,
     const util::CancellationToken& cancel)
     : netlist_(&netlist),
-      tables_(build_tables(netlist, pi_stats, tech, model,
-                           /*with_delays=*/true, cancel, nullptr)),
+      tables_(build_tables(netlist, pi_stats, tech, model, cancel, nullptr)),
       topo_order_(netlist.topological_order()) {
   topo_rank_.assign(tables_.size(), 0);
   for (std::size_t i = 0; i < topo_order_.size(); ++i) {
     topo_rank_[static_cast<std::size_t>(topo_order_[i])] = static_cast<int>(i);
   }
   config_.assign(tables_.size(), 0);
-  arrival_.assign(static_cast<std::size_t>(netlist.net_count()), 0.0);
   po_ceiling_.assign(static_cast<std::size_t>(netlist.net_count()), k_inf);
   queued_.assign(tables_.size(), 0);
   recompute_state();
 }
 
 void IncrementalScorer::recompute_state() {
-  // The exact circuit_delay recurrence: arrival = max over pins of
-  // (input arrival + pin delay), starting from 0.0, in pin order.
-  std::fill(arrival_.begin(), arrival_.end(), 0.0);
-  total_power_ = 0.0;
-  for (GateId g : topo_order_) {
-    const netlist::GateInst& inst = netlist_->gate(g);
-    const GateTable& table = tables_[static_cast<std::size_t>(g)];
-    const int cfg = config_[static_cast<std::size_t>(g)];
-    const std::vector<double>& pd =
-        (*table.pin_delay)[static_cast<std::size_t>(cfg)];
-    arrival_[static_cast<std::size_t>(inst.output)] =
-        gate_arrival(inst, pd, arrival_);
-    total_power_ += table.power[static_cast<std::size_t>(cfg)];
-  }
+  arrival_ = table_arrivals(*netlist_, tables_, topo_order_, config_);
+  total_power_ = total_power_in_topo_order();
   po_violations_ = 0;
   if (has_ceilings_) {
     for (NetId id : netlist_->primary_outputs()) {
@@ -233,10 +230,11 @@ IncrementalScorer::Undo IncrementalScorer::apply(GateId g, int config) {
     queued_[static_cast<std::size_t>(u)] = 0;
 
     const netlist::GateInst& inst = netlist_->gate(u);
-    const std::vector<double>& pd =
-        (*tables_[static_cast<std::size_t>(u)].pin_delay)[
-            static_cast<std::size_t>(config_[static_cast<std::size_t>(u)])];
-    const double arrival = gate_arrival(inst, pd, arrival_);
+    const double arrival = gate_arrival(
+        inst,
+        tables_[static_cast<std::size_t>(u)].pin_delays(
+            config_[static_cast<std::size_t>(u)]),
+        arrival_);
     const NetId out = inst.output;
     double& stored = arrival_[static_cast<std::size_t>(out)];
     if (arrival == stored) continue;
@@ -277,17 +275,7 @@ void IncrementalScorer::set_configs(const std::vector<int>& configs) {
 }
 
 std::vector<double> IncrementalScorer::full_arrivals() const {
-  std::vector<double> arrival(
-      static_cast<std::size_t>(netlist_->net_count()), 0.0);
-  for (GateId g : topo_order_) {
-    const netlist::GateInst& inst = netlist_->gate(g);
-    const std::vector<double>& pd =
-        (*tables_[static_cast<std::size_t>(g)].pin_delay)[
-            static_cast<std::size_t>(config_[static_cast<std::size_t>(g)])];
-    arrival[static_cast<std::size_t>(inst.output)] =
-        gate_arrival(inst, pd, arrival);
-  }
-  return arrival;
+  return table_arrivals(*netlist_, tables_, topo_order_, config_);
 }
 
 std::vector<double> IncrementalScorer::required_times() const {
@@ -302,9 +290,9 @@ std::vector<double> IncrementalScorer::required_times() const {
   for (auto it = topo_order_.rbegin(); it != topo_order_.rend(); ++it) {
     const netlist::GateInst& inst = netlist_->gate(*it);
     const double out_required = required[static_cast<std::size_t>(inst.output)];
-    const std::vector<double>& pd =
-        (*tables_[static_cast<std::size_t>(*it)].pin_delay)[
-            static_cast<std::size_t>(config_[static_cast<std::size_t>(*it)])];
+    const std::span<const double> pd =
+        tables_[static_cast<std::size_t>(*it)].pin_delays(
+            config_[static_cast<std::size_t>(*it)]);
     for (std::size_t pin = 0; pin < inst.inputs.size(); ++pin) {
       double& in_required = required[static_cast<std::size_t>(inst.inputs[pin])];
       in_required = std::min(in_required, out_required - pd[pin]);
@@ -351,13 +339,13 @@ GreedySeed greedy_seed(const Netlist& netlist,
     }
     if (budget_delay) {
       const std::size_t out = static_cast<std::size_t>(inst.output);
-      original[out] = gate_arrival(inst, (*table.pin_delay)[0], original);
+      original[out] = gate_arrival(inst, table.pin_delays(0), original);
       const double budget =
           original[out] * (1.0 + *options.max_circuit_delay_increase);
       candidate_arrival.assign(n, 0.0);
       for (std::size_t i = 0; i < n; ++i) {
-        candidate_arrival[i] =
-            gate_arrival(inst, (*table.pin_delay)[i], arrival);
+        candidate_arrival[i] = gate_arrival(
+            inst, table.pin_delays(static_cast<int>(i)), arrival);
         if (i > 0 && candidate_arrival[i] > budget + k_budget_epsilon) {
           admissible[i] = 0;
           ++seed.rejected_delay;
@@ -422,6 +410,19 @@ OptimizeReport commit(Netlist& netlist, const std::vector<GateTable>& tables,
     report.model_power_after +=
         report.decisions[static_cast<std::size_t>(g)].chosen_power;
   }
+  // The circuit_delay reduction: max over primary outputs from 0.0.
+  const auto critical_path = [&](const std::vector<int>& at) {
+    const std::vector<double> arrival =
+        table_arrivals(netlist, tables, topo_order, at);
+    double path = 0.0;
+    for (NetId id : netlist.primary_outputs()) {
+      path = std::max(path, arrival[static_cast<std::size_t>(id)]);
+    }
+    return path;
+  };
+  report.critical_path_before =
+      critical_path(std::vector<int>(tables.size(), 0));
+  report.critical_path_after = critical_path(configs);
   return report;
 }
 
@@ -515,9 +516,8 @@ OptimizeReport anneal_optimize(Netlist& netlist,
       // acceptance is always validated by the exact propagation below.
       if (!required.empty()) {
         const netlist::GateInst& inst = netlist.gate(g);
-        const std::vector<double>& pd =
-            (*table.pin_delay)[static_cast<std::size_t>(candidate)];
-        if (gate_arrival(inst, pd, scorer.arrivals()) >
+        if (gate_arrival(inst, table.pin_delays(candidate),
+                         scorer.arrivals()) >
             required[static_cast<std::size_t>(inst.output)] +
                 k_budget_epsilon) {
           ++stats.rejected_delay;

@@ -16,17 +16,18 @@
 //  * IncrementalScorer — the rescoring core. One-time setup precomputes,
 //    per gate, the model power and the per-pin Elmore delays of *every*
 //    catalog configuration (power through the word-parallel catalog
-//    scorer, delays through the same delay::gate_delays path the
-//    reference engine runs, memoised per (catalog, external load)).
-//    After that a configuration move costs only a table lookup plus an
-//    arrival propagation over the move's fanout cone: gates are
-//    re-evaluated in topological-rank order, each at most once, and
-//    propagation stops where arrivals are unchanged. Every mutation
-//    returns an Undo record, so trial moves revert exactly. The
-//    differential oracle contract — cone-rescored arrivals are
-//    field-identical to a from-scratch topological recompute (and to
-//    delay::circuit_delay on the materialised netlist) — is pinned by
-//    tests/test_search.cpp.
+//    scorer, delays by evaluating the Elmore programs the catalog
+//    compiled, memoised per (catalog, external load)). After that a
+//    configuration move costs only a table lookup plus an arrival
+//    propagation over the move's fanout cone: gates are re-evaluated in
+//    topological-rank order, each at most once, and propagation stops
+//    where arrivals are unchanged. Every mutation returns an Undo record,
+//    so trial moves revert exactly. The differential contract —
+//    cone-rescored arrivals are field-identical to a from-scratch
+//    topological recompute, and the tables' arrivals to the
+//    GateGraph-per-gate oracle delay::circuit_delay on the materialised
+//    netlist — is pinned by tests/test_search.cpp and
+//    tests/test_timing_differential.cpp.
 //
 //  * greedy_seed — the paper's Fig. 3 walk over the tables: the
 //    decision step of the catalog engine, budgeted or not.
@@ -46,6 +47,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -68,12 +70,20 @@ namespace tr::opt::search {
 struct GateTable {
   std::shared_ptr<const celllib::ReorderCatalog> catalog;
   std::vector<double> power;  ///< model power per configuration [W]
-  /// pin_delay[config][pin]: worst Elmore pin-to-output delay [s],
-  /// identical to delay::gate_delays on that configuration's graph
-  /// (null when the tables were built without delays).
-  std::shared_ptr<const std::vector<std::vector<double>>> pin_delay;
+  /// Worst Elmore pin-to-output delay [s] per (configuration, pin),
+  /// configuration-major, input_count() entries per configuration —
+  /// bit-identical to delay::gate_delays on that configuration's graph.
+  /// Shared by every gate of the same catalog and external load.
+  std::shared_ptr<const std::vector<double>> pin_delay;
 
   int config_count() const noexcept { return static_cast<int>(power.size()); }
+  /// The pin delays of one configuration.
+  std::span<const double> pin_delays(int config) const {
+    const std::size_t pins =
+        static_cast<std::size_t>(catalog->input_count());
+    return {pin_delay->data() + static_cast<std::size_t>(config) * pins,
+            pins};
+  }
   /// Same-layout-instance flag of a configuration (for
   /// OptimizeOptions::restrict_to_instance).
   bool same_instance(int config) const {
@@ -83,16 +93,27 @@ struct GateTable {
 };
 
 /// Builds the GateTable of every gate, GateId order: catalogs serially
-/// (through the CellLibrary cache), then power and — `with_delays` —
-/// the pin-delay tables memoised per (catalog, external load), one task
-/// per gate or memo slot on `pool` (nullptr = serial). Every task fills
-/// its own slot, so the tables are identical for any thread count.
-/// Polls `cancel` per task; `pi_stats` must cover all primary inputs.
+/// (through the CellLibrary cache), then power and the pin-delay tables
+/// memoised per (catalog, external load) — evaluated from the catalog's
+/// compiled Elmore programs — one task per gate or memo slot on `pool`
+/// (nullptr = serial). Every task fills its own slot, so the tables are
+/// identical for any thread count. Polls `cancel` per task; `pi_stats`
+/// must cover all primary inputs.
 std::vector<GateTable> build_tables(
     const netlist::Netlist& netlist,
     const std::map<netlist::NetId, boolfn::SignalStats>& pi_stats,
-    const celllib::Tech& tech, power::ModelKind model, bool with_delays,
+    const celllib::Tech& tech, power::ModelKind model,
     const util::CancellationToken& cancel, util::ThreadPool* pool);
+
+/// The circuit_delay recurrence over the tables: net arrivals [s] with
+/// gate g in configuration configs[g] (PIs at 0; each gate's output at
+/// the max over pins, in pin order from 0.0, of input arrival + pin
+/// delay). Field-identical to delay::circuit_delay's net_arrival on the
+/// netlist holding those configurations.
+std::vector<double> table_arrivals(
+    const netlist::Netlist& netlist, const std::vector<GateTable>& tables,
+    const std::vector<netlist::GateId>& topo_order,
+    const std::vector<int>& configs);
 
 /// Incremental power + Elmore-arrival state over joint gate
 /// configurations. Construction leaves every gate at configuration 0
@@ -100,8 +121,8 @@ std::vector<GateTable> build_tables(
 /// of the incoming mapping, field-exactly.
 class IncrementalScorer {
 public:
-  /// Builds the per-gate tables (build_tables with delays, serially:
-  /// the expensive one-time pass).
+  /// Builds the per-gate tables (build_tables, serially: the one-time
+  /// pass).
   IncrementalScorer(const netlist::Netlist& netlist,
                     const std::map<netlist::NetId, boolfn::SignalStats>&
                         pi_stats,
@@ -227,8 +248,10 @@ GreedySeed greedy_seed(const IncrementalScorer& scorer,
 /// assembles the report every catalog-backed engine shares: decisions in
 /// GateId order from the per-gate power tables, power totals accumulated
 /// in topological order (the reference engine's summation order),
-/// gates_changed. Only GateTable::catalog and ::power are read. The
-/// caller fills the engine, thread and rejection fields.
+/// gates_changed, and the critical paths of configuration 0 (the
+/// incoming netlist) and of `configs` from the pin-delay tables
+/// (table_arrivals). The caller fills the engine, thread and rejection
+/// fields.
 OptimizeReport commit(netlist::Netlist& netlist,
                       const std::vector<GateTable>& tables,
                       const std::vector<netlist::GateId>& topo_order,

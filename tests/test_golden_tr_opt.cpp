@@ -1,6 +1,7 @@
-// Golden-file regression for the tr_opt JSON output (ISSUE 4): the
-// deterministic report for the four embedded classic circuits must stay
-// byte-identical to the checked-in fixture, across runs and across
+// Golden-file regression for the tr_opt JSON output: the deterministic
+// report for the four embedded classic circuits — unbudgeted, and at
+// --delay-budget 0.05 with the catalog and the annealing engine — must
+// stay byte-identical to the checked-in fixtures, across runs and across
 // worker counts at both parallelism levels.
 //
 // The test drives the exact library path the CLI uses (load classics ->
@@ -47,9 +48,11 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
-/// The tr_opt --suite classic --seed 1 --no-timing pipeline.
+/// The tr_opt --suite classic --seed 1 --no-timing pipeline, with the
+/// run options `opt` (the default = no further flags).
 std::string classic_batch_json(int jobs, int threads_per_circuit,
-                               BatchJsonOptions json) {
+                               BatchJsonOptions json,
+                               const OptimizeOptions& opt = {}) {
   const CellLibrary library = CellLibrary::standard();
   const Tech tech;
   std::vector<BatchCircuit> batch;
@@ -60,6 +63,7 @@ std::string classic_batch_json(int jobs, int threads_per_circuit,
         mapper::map_network(logic, library), 'A', /*master_seed=*/1));
   }
   BatchOptions options;
+  options.opt = opt;
   options.jobs = jobs;
   options.threads_per_circuit = threads_per_circuit;
   const BatchReport report =
@@ -70,9 +74,10 @@ std::string classic_batch_json(int jobs, int threads_per_circuit,
   return out.str();
 }
 
-TEST(GoldenTrOpt, ClassicSuiteMatchesGolden) {
-  const std::string current = classic_batch_json(1, 1, {});
-  const std::string path = golden_path("tr_opt_classic.json");
+/// Compares `current` with tests/golden/`name`, or rewrites the golden
+/// under TR_UPDATE_GOLDEN.
+void expect_golden(const std::string& current, const std::string& name) {
+  const std::string path = golden_path(name);
 
   if (std::getenv("TR_UPDATE_GOLDEN") != nullptr) {
     std::ofstream out(path, std::ios::binary);
@@ -86,8 +91,32 @@ TEST(GoldenTrOpt, ClassicSuiteMatchesGolden) {
       << "missing golden " << path
       << " — run with TR_UPDATE_GOLDEN=1 to create it";
   EXPECT_EQ(golden, current)
-      << "tr_opt JSON drifted from the golden; if intentional, regenerate "
-         "with TR_UPDATE_GOLDEN=1 and commit the diff";
+      << name << " drifted from the golden; if intentional, regenerate "
+      << "with TR_UPDATE_GOLDEN=1 and commit the diff";
+}
+
+TEST(GoldenTrOpt, ClassicSuiteMatchesGolden) {
+  expect_golden(classic_batch_json(1, 1, {}), "tr_opt_classic.json");
+}
+
+/// --delay-budget 0.05: pins the budgeted catalog walk's decisions and
+/// both critical paths byte for byte.
+TEST(GoldenTrOpt, BudgetedClassicSuiteMatchesGolden) {
+  OptimizeOptions opt;
+  opt.max_circuit_delay_increase = 0.05;
+  const std::string serial = classic_batch_json(1, 1, {}, opt);
+  expect_golden(serial, "tr_opt_classic_budgeted.json");
+  EXPECT_EQ(serial, classic_batch_json(4, 1, {}, opt));
+}
+
+/// --engine anneal --delay-budget 0.05: the same for the annealer.
+TEST(GoldenTrOpt, BudgetedAnnealClassicSuiteMatchesGolden) {
+  OptimizeOptions opt;
+  opt.engine = Engine::anneal;
+  opt.max_circuit_delay_increase = 0.05;
+  const std::string serial = classic_batch_json(1, 1, {}, opt);
+  expect_golden(serial, "tr_opt_classic_anneal_budgeted.json");
+  EXPECT_EQ(serial, classic_batch_json(4, 1, {}, opt));
 }
 
 TEST(GoldenTrOpt, ByteStableAcrossWorkerCounts) {
@@ -145,23 +174,7 @@ std::string poisoned_batch_json(int jobs) {
 }
 
 TEST(GoldenTrOpt, PoisonedBatchMatchesGolden) {
-  const std::string current = poisoned_batch_json(1);
-  const std::string path = golden_path("tr_opt_poisoned.json");
-
-  if (std::getenv("TR_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write golden " << path;
-    out << current;
-    GTEST_SKIP() << "golden regenerated at " << path;
-  }
-
-  const std::string golden = read_file(path);
-  ASSERT_FALSE(golden.empty())
-      << "missing golden " << path
-      << " — run with TR_UPDATE_GOLDEN=1 to create it";
-  EXPECT_EQ(golden, current)
-      << "poisoned-batch JSON drifted from the golden; if intentional, "
-         "regenerate with TR_UPDATE_GOLDEN=1 and commit the diff";
+  expect_golden(poisoned_batch_json(1), "tr_opt_poisoned.json");
 }
 
 TEST(GoldenTrOpt, PoisonedBatchByteStableAcrossWorkerCounts) {

@@ -109,8 +109,45 @@ TEST(ActivityIo, Errors) {
   check_throws("a0 0.5 -3\n");              // negative density
   check_throws("a0 0.5\n");                 // arity
   check_throws("a0 zzz 1\n");               // malformed number
+
   check_throws("a0 0.5 1\na0 0.5 1\n");     // duplicate
   check_throws("a0 0.5 1\n");               // missing other PIs
+}
+
+TEST(ActivityIo, MalformedNumbersAreParseErrorsWithTheLine) {
+  // Every token must be a whole finite number: a numeric prefix is not
+  // a value, NaN would slip past the range checks, and an infinite
+  // density is no density.
+  const Netlist nl = benchgen::ripple_carry_adder(lib(), 2);
+  for (const char* bad : {"0.5x", "1000x", "nan", "NaN", "inf", "-inf",
+                          "infinity", "0x1p-1", "1e999"}) {
+    for (int field = 1; field <= 2; ++field) {
+      SCOPED_TRACE(testing::Message() << "token '" << bad << "' field "
+                                      << field);
+      std::ostringstream text;
+      text << "# activity\n";
+      int bad_line = 0;
+      int line = 1;
+      for (NetId id : nl.primary_inputs()) {
+        ++line;
+        const bool poison = bad_line == 0;
+        if (poison) bad_line = line;
+        text << nl.net(id).name << ' '
+             << (poison && field == 1 ? bad : "0.5") << ' '
+             << (poison && field == 2 ? bad : "1000") << '\n';
+      }
+      std::istringstream in(text.str());
+      try {
+        read_activity(nl, in, "act.txt");
+        ADD_FAILURE() << "accepted a malformed number";
+      } catch (const ParseError& e) {
+        EXPECT_EQ(e.line(), bad_line);
+        EXPECT_NE(std::string(e.what()).find("malformed number"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(Verilog, EmitsWellFormedModule) {

@@ -1,7 +1,8 @@
 // Zero-allocation guard for the hot accessors. This binary replaces the
 // global operator new with a counting one and asserts that many passing
 // calls of the accessors the delay, search and simulation loops repeat
-// per fanout, per move and per event allocate nothing — in particular
+// per fanout, per move and per event — and the Elmore program evaluation
+// the delay tables repeat per configuration — allocate nothing, in particular
 // that no `require` guarding them builds its message eagerly.
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include "benchgen/generators.hpp"
 #include "boolfn/minterm_weights.hpp"
+#include "celllib/catalog.hpp"
 #include "celllib/library.hpp"
 #include "netlist/netlist.hpp"
 #include "util/error.hpp"
@@ -34,6 +36,20 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them
+// and frees through the sized delete above), so every new pairs with
+// this file's delete.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace tr {
 namespace {
@@ -100,6 +116,26 @@ TEST_F(NoAlloc, MintermWeightsSum) {
   double sink = 0.0;
   const std::size_t count = allocations_during([&] {
     for (int round = 0; round < kRounds; ++round) sink += weights.sum(f);
+  });
+  EXPECT_EQ(count, 0u);
+  EXPECT_GT(sink, 0.0);
+}
+
+TEST_F(NoAlloc, ElmoreProgramEvaluation) {
+  // The per-(catalog, load) delay tables evaluate every configuration's
+  // compiled program into a pre-sized row: no scratch, no allocation.
+  const auto catalog =
+      library_.catalog(library_.cell("aoi22").topology());
+  std::vector<double> pin_delay(
+      static_cast<std::size_t>(catalog->input_count()));
+  double sink = 0.0;
+  const std::size_t count = allocations_during([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      for (const celllib::CatalogConfig& config : catalog->configs()) {
+        delay::evaluate_elmore(config.elmore, tech_, 8e-15, pin_delay);
+        sink += pin_delay.front();
+      }
+    }
   });
   EXPECT_EQ(count, 0u);
   EXPECT_GT(sink, 0.0);
